@@ -7,8 +7,9 @@
 //! through a recycled [`DecodeScratch`] must beat full v2 decoding by at
 //! least 1.3x — both asserted here, recorded in `BENCH_codec.json`. The
 //! *bursty* `ddos` scenario is the counter-case: most cells churn every
-//! window, so the delta archive is recorded alongside the full one to show
-//! (not assert) that full encoding is the right default there.
+//! window, so every delta is larger than its window in full and the cadence
+//! encoder ships full windows instead — asserted as a cadence archive no
+//! larger than the full one, apart from the manifest.
 //!
 //! The hot-cell count scales with `TW_CODEC_BENCH_EVENTS` (default 1e6,
 //! CI's bench smoke step runs with 20000).
@@ -17,11 +18,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use tw_bench::{banner, quick_criterion};
+use tw_core::archive::ZipReader;
+use tw_core::ingest::record::MANIFEST_ENTRY;
 use tw_core::ingest::{
-    decode_window, decode_window_into, encode_window, encode_window_delta, ArchiveRecorder,
-    DecodeScratch, IngestStats, Pipeline, PipelineConfig, RecordingMeta, Scenario, WindowReport,
+    decode_window, decode_window_into, encode_window, ArchiveRecorder, CadenceEncoder,
+    DecodeScratch, Pipeline, PipelineConfig, RecordingMeta, Scenario, SteadyWindows, WindowReport,
 };
-use tw_matrix::CsrMatrix;
 
 const NODES: usize = 512;
 const WINDOWS: usize = 16;
@@ -35,75 +37,9 @@ fn event_budget() -> usize {
         .unwrap_or(1_000_000)
 }
 
-/// The same splitmix-flavoured LCG the scenario sources use inline:
-/// tw-bench has no rand dependency and the workload must be deterministic.
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 33
-}
-
-/// A steady window sequence: `hot` stable cells, ~2% value churn per
-/// window plus a trickle of deletes and inserts (so the delta encoder's
-/// del/set paths both run).
-fn steady_reports(hot: usize) -> Vec<WindowReport> {
-    let mut state = SEED;
-    let mut cells: Vec<(usize, usize, u64)> = Vec::with_capacity(hot + hot / 4);
-    while cells.len() < hot {
-        let need = hot - cells.len();
-        for _ in 0..need + need / 4 + 8 {
-            let r = lcg(&mut state) as usize % NODES;
-            let c = lcg(&mut state) as usize % NODES;
-            cells.push((r, c, lcg(&mut state) | 1));
-        }
-        cells.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        cells.dedup_by_key(|&mut (r, c, _)| (r, c));
-    }
-    cells.truncate(hot);
-
-    let churn = (hot / 50).max(1);
-    let mut reports = Vec::with_capacity(WINDOWS);
-    for w in 0..WINDOWS {
-        if w > 0 {
-            for _ in 0..churn {
-                let i = lcg(&mut state) as usize % cells.len();
-                cells[i].2 = lcg(&mut state) | 1;
-            }
-            for _ in 0..(churn / 4).max(1) {
-                let i = lcg(&mut state) as usize % cells.len();
-                cells.remove(i);
-                let (r, c) = (
-                    lcg(&mut state) as usize % NODES,
-                    lcg(&mut state) as usize % NODES,
-                );
-                let v = lcg(&mut state) | 1;
-                match cells.binary_search_by_key(&(r, c), |&(r, c, _)| (r, c)) {
-                    Ok(i) => cells[i].2 = v,
-                    Err(i) => cells.insert(i, (r, c, v)),
-                }
-            }
-        }
-        let matrix = CsrMatrix::from_sorted_triples(NODES, NODES, &cells);
-        let nnz = matrix.nnz();
-        reports.push(WindowReport {
-            matrix,
-            stats: IngestStats {
-                window_index: w as u64,
-                events: churn as u64,
-                packets: churn as u64 * 3,
-                nnz,
-                dropped_late: 0,
-                reordered: 0,
-                elapsed: Duration::from_micros(50),
-            },
-        });
-    }
-    reports
-}
-
-/// Archive a window sequence at the given cadence; returns the ZIP size.
-fn archive_bytes(reports: &[WindowReport], scenario: &str, keyframe_every: u64) -> usize {
+/// Archive a window sequence at the given cadence; returns the ZIP size and
+/// the size of its manifest entry.
+fn archive_bytes(reports: &[WindowReport], scenario: &str, keyframe_every: u64) -> (usize, usize) {
     let mut recorder = ArchiveRecorder::new(RecordingMeta {
         scenario: scenario.to_string(),
         seed: SEED,
@@ -114,7 +50,11 @@ fn archive_bytes(reports: &[WindowReport], scenario: &str, keyframe_every: u64) 
     for report in reports {
         recorder.record(report).expect("recording in memory");
     }
-    recorder.finish().expect("well under format limits").len()
+    let zip = recorder.finish().expect("well under format limits");
+    let manifest = ZipReader::parse(&zip)
+        .and_then(|reader| reader.read(MANIFEST_ENTRY).map(|m| m.len()))
+        .expect("the recorder writes a manifest");
+    (zip.len(), manifest)
 }
 
 /// Every window encoded self-contained (the v2 wire/archive layout).
@@ -122,20 +62,12 @@ fn full_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
     reports.iter().map(encode_window).collect()
 }
 
-/// The v3 chain: a key frame every [`KEYFRAME_EVERY`] windows, deltas
-/// against the previous window in between — what `--keyframe-every` stores.
+/// The v3 chain: a key frame every [`KEYFRAME_EVERY`] windows, and in
+/// between the smaller of the delta and the full window — what
+/// `--keyframe-every` stores.
 fn chain_frames(reports: &[WindowReport]) -> Vec<Vec<u8>> {
-    reports
-        .iter()
-        .enumerate()
-        .map(|(i, report)| {
-            if (i as u64).is_multiple_of(KEYFRAME_EVERY) {
-                encode_window(report)
-            } else {
-                encode_window_delta(&reports[i - 1], report)
-            }
-        })
-        .collect()
+    let mut encoder = CadenceEncoder::new(KEYFRAME_EVERY);
+    reports.iter().map(|r| encoder.encode(r).bytes).collect()
 }
 
 fn decode_full(frames: &[Vec<u8>]) -> u64 {
@@ -172,11 +104,11 @@ fn best_of<F: FnMut() -> u64>(mut f: F) -> Duration {
 fn bench_codec(c: &mut Criterion) {
     banner("E-S7", "Delta window codec: archive size and decode cost");
     let hot = (event_budget() / WINDOWS).clamp(64, NODES * NODES / 2);
-    let steady = steady_reports(hot);
+    let steady: Vec<WindowReport> = SteadyWindows::new(NODES, hot, WINDOWS, SEED).collect();
 
     // -- Archive size, steady: the delta cadence must cut >= 30%. --------
-    let steady_full = archive_bytes(&steady, "steady", 0);
-    let steady_delta = archive_bytes(&steady, "steady", KEYFRAME_EVERY);
+    let (steady_full, _) = archive_bytes(&steady, "steady", 0);
+    let (steady_delta, _) = archive_bytes(&steady, "steady", KEYFRAME_EVERY);
     criterion::record_measurement("codec_steady/archive_bytes/full", steady_full as u128);
     criterion::record_measurement("codec_steady/archive_bytes/delta", steady_delta as u128);
     println!(
@@ -191,7 +123,7 @@ fn bench_codec(c: &mut Criterion) {
          (full {steady_full} B, delta {steady_delta} B)"
     );
 
-    // -- Archive size, bursty: the counter-case, recorded not asserted. --
+    // -- Archive size, bursty: deltas lose, so the cadence ships full. ---
     let config = PipelineConfig {
         window_us: 50_000,
         batch_size: 8_192,
@@ -200,15 +132,22 @@ fn bench_codec(c: &mut Criterion) {
         ..Default::default()
     };
     let ddos = Pipeline::new(Scenario::Ddos.source(NODES as u32, SEED), config).run(8);
-    let ddos_full = archive_bytes(&ddos, "ddos", 0);
-    let ddos_delta = archive_bytes(&ddos, "ddos", KEYFRAME_EVERY);
+    let (ddos_full, ddos_full_manifest) = archive_bytes(&ddos, "ddos", 0);
+    let (ddos_delta, ddos_delta_manifest) = archive_bytes(&ddos, "ddos", KEYFRAME_EVERY);
     criterion::record_measurement("codec_ddos/archive_bytes/full", ddos_full as u128);
     criterion::record_measurement("codec_ddos/archive_bytes/delta", ddos_delta as u128);
     println!(
         "bursty (ddos, 8 windows): full archive {ddos_full} B, \
          keyframe-every-{KEYFRAME_EVERY} {ddos_delta} B ({:.1}% of full) \
-         — churn-heavy streams keep full encoding the right default",
+         — churn-heavy windows fall back to full encoding",
         ddos_delta as f64 / ddos_full as f64 * 100.0
+    );
+    assert!(
+        ddos_delta - ddos_delta_manifest <= ddos_full - ddos_full_manifest,
+        "a cadence archive of a bursty stream must be no larger than the full \
+         one apart from the manifest (full {ddos_full} B with a \
+         {ddos_full_manifest} B manifest, cadence {ddos_delta} B with a \
+         {ddos_delta_manifest} B manifest)"
     );
 
     // -- Decode cost, steady: v2 full stream vs v3 chain into scratch. ---

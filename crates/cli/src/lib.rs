@@ -144,8 +144,9 @@ Commands:
                                               --record also captures the window stream
                                               as a replayable ZIP (--keyframe-every N
                                               stores every N-th window in full and the
-                                              rest as sparse v3 deltas — smaller
-                                              archives for steady traffic); --json
+                                              rest as sparse v3 deltas where smaller
+                                              than in full — smaller archives for
+                                              steady traffic); --json
                                               emits one
                                               tw-json object per window instead of the
                                               human transcript; --metrics-json writes
@@ -181,8 +182,9 @@ Commands:
                                               (printed on the eager `listening on` line);
                                               --keyframe-every N serves every N-th
                                               window in full and the rest as sparse v3
-                                              delta frames (late joiners anchor on a
-                                              key frame from the catch-up ring);
+                                              delta frames where smaller than in full
+                                              (late joiners anchor on a key frame from
+                                              the catch-up ring);
                                               --metrics-json writes the final snapshot,
                                               --stats-every N also streams Stats frames
                                               to every client every N windows
@@ -919,7 +921,8 @@ pub struct IngestArgs {
     pub record: Option<String>,
     /// Key-frame cadence for the recorded archive: every K-th window is a
     /// self-contained key frame, the rest sparse v3 deltas against the
-    /// previous window (0 = every window full, a version-1 archive).
+    /// previous window where smaller than in full (0 = every window full,
+    /// a version-1 archive).
     pub keyframe_every: u64,
     /// Emit one tw-json object per window (machine-readable transcript)
     /// instead of the human per-window lines, banner and totals.
@@ -1612,7 +1615,8 @@ pub struct ServeArgs {
     pub stats_every: u64,
     /// Key-frame cadence on the wire: every K-th window is served as a
     /// self-contained full frame, the rest as sparse v3 delta frames
-    /// against the previous window (0 = every window full).
+    /// against the previous window where smaller than in full (0 = every
+    /// window full).
     pub keyframe_every: u64,
 }
 
@@ -2878,7 +2882,8 @@ mod tests {
 
     #[test]
     fn delta_recordings_replay_like_full_ones() {
-        // A cadence-3 archive (key frames at w0/w3/w6, deltas between)
+        // A cadence-3 archive (key frames at w0/w3/w6; the ddos windows
+        // between fall back to full wherever a delta would be larger)
         // replays the identical per-window statistics lines.
         let dir = std::env::temp_dir().join(format!("tw-cli-delta-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -8,7 +8,9 @@
 //! window's [`IngestStats`]. Every integer field is varint-encoded, so the
 //! format has no architecture-dependent widths, and decoding validates
 //! structure (magic, version, bounds, exact length) before any matrix is
-//! built.
+//! built. Streams with a key-frame cadence go through [`CadenceEncoder`],
+//! which ships each window between key frames as a sparse v3 delta against
+//! its predecessor only when that delta is smaller than the window in full.
 //!
 //! ```
 //! use tw_ingest::codec::{decode_window, encode_window};
@@ -418,7 +420,9 @@ fn parse_full_body(
 /// all delta-compressed like the full layout — is a fraction of the full
 /// encoding. The payload names its base window index;
 /// [`decode_window_into`] refuses to apply it to anything else. Both
-/// matrices must share one shape (a stream invariant).
+/// matrices must share one shape (a stream invariant). Streams should go
+/// through [`CadenceEncoder`], which ships a delta only where it is smaller
+/// than the full window.
 pub fn encode_window_delta(prev: &WindowReport, cur: &WindowReport) -> Vec<u8> {
     let (rows, cols) = cur.matrix.shape();
     assert_eq!(
@@ -430,73 +434,249 @@ pub fn encode_window_delta(prev: &WindowReport, cur: &WindowReport) -> Vec<u8> {
         rows <= MAX_DIMENSION && cols <= MAX_DIMENSION,
         "window matrices larger than {MAX_DIMENSION} addresses are not encodable"
     );
-    let changes = prev
-        .matrix
-        .diff(&cur.matrix)
-        // tw-analyze: allow(no-panic-in-lib, "the shape assert a few lines up guarantees diff cannot reject these matrices")
-        .expect("shapes were checked above");
-
-    let mut buf = Vec::with_capacity(64 + changes.len() * 4);
-    buf.extend_from_slice(&WINDOW_MAGIC);
-    buf.push(DELTA_WINDOW_VERSION);
-    push_stats(&mut buf, &cur.stats);
-    push_varint(&mut buf, prev.stats.window_index);
-    push_varint(&mut buf, rows as u64);
-    push_varint(&mut buf, cols as u64);
-    push_varint(&mut buf, cur.matrix.nnz() as u64);
-
-    let changed_rows = {
-        let mut count = 0usize;
-        let mut prev_row = usize::MAX;
-        for &(r, _, _) in &changes {
-            if r != prev_row {
-                count += 1;
-                prev_row = r;
-            }
-        }
-        count
-    };
-    push_varint(&mut buf, changed_rows as u64);
-
-    // Per changed row (rows delta-compressed like the full layout): the
-    // deleted-column list, then the upserted (column, value) list, each
-    // with first-absolute / later (delta - 1) column compression.
-    let mut prev_row: Option<usize> = None;
-    let mut i = 0usize;
-    while i < changes.len() {
-        let row = changes[i].0;
-        let end = changes[i..]
-            .iter()
-            .position(|&(r, _, _)| r != row)
-            .map_or(changes.len(), |p| i + p);
-        match prev_row {
-            None => push_varint(&mut buf, row as u64),
-            Some(p) => push_varint(&mut buf, (row - p - 1) as u64),
-        }
-        prev_row = Some(row);
-        let row_changes = &changes[i..end];
-        let dels = row_changes.iter().filter(|(_, _, v)| v.is_none()).count();
-        push_varint(&mut buf, dels as u64);
-        push_varint(&mut buf, (row_changes.len() - dels) as u64);
-        for keep_sets in [false, true] {
-            let mut prev_col: Option<usize> = None;
-            for &(_, c, v) in row_changes
-                .iter()
-                .filter(|(_, _, v)| v.is_some() == keep_sets)
-            {
-                match prev_col {
-                    None => push_varint(&mut buf, c as u64),
-                    Some(p) => push_varint(&mut buf, (c - p - 1) as u64),
-                }
-                prev_col = Some(c);
-                if let Some(v) = v {
-                    push_varint(&mut buf, v);
-                }
-            }
-        }
-        i = end;
-    }
+    let mut walk = DeltaWalk::new(prev, cur);
+    let len = walk.advance(usize::MAX).unwrap_or_default();
+    let mut buf = Vec::with_capacity(len);
+    walk.write(&mut buf, &mut RowLists::default());
     buf
+}
+
+/// The exact length of [`encode_window_delta`]`(prev, cur)` when it is
+/// below `limit` bytes; `None` when it is not, or when the shapes differ
+/// (no delta exists).
+///
+/// The answer comes from one merge walk over the two CSR matrices that
+/// stops as soon as the running size reaches `limit`; nothing is encoded
+/// and nothing is allocated.
+pub fn delta_window_len(prev: &WindowReport, cur: &WindowReport, limit: usize) -> Option<usize> {
+    if prev.matrix.shape() != cur.matrix.shape() {
+        return None;
+    }
+    DeltaWalk::new(prev, cur).advance(limit)
+}
+
+/// Bytes one LEB128 varint of `v` occupies (the length [`push_varint`]
+/// writes).
+#[inline]
+fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// Bytes [`push_stats`] writes for `stats`.
+fn stats_len(stats: &IngestStats) -> usize {
+    let nanos = u64::try_from(stats.elapsed.as_nanos()).unwrap_or(u64::MAX);
+    [
+        stats.window_index,
+        stats.events,
+        stats.packets,
+        stats.nnz as u64,
+        stats.dropped_late,
+        stats.reordered,
+        nanos,
+    ]
+    .iter()
+    .map(|&v| varint_len(v))
+    .sum()
+}
+
+/// A lower bound on [`encode_window`]`(report).len()`: the magic, version
+/// and stats, plus at least a column byte and a value byte per stored cell.
+fn full_len_floor(report: &WindowReport) -> usize {
+    WINDOW_MAGIC.len() + 1 + stats_len(&report.stats) + 2 * report.matrix.nnz()
+}
+
+/// Row `r` of a matrix as its `(columns, values)` slices.
+#[inline]
+fn row_slices(matrix: &CsrMatrix<u64>, r: usize) -> (&[usize], &[u64]) {
+    let (start, end) = (matrix.row_ptr()[r], matrix.row_ptr()[r + 1]);
+    (
+        &matrix.col_indices()[start..end],
+        &matrix.values()[start..end],
+    )
+}
+
+/// Walk one row's cell changes from `prev` to `cur` in column order,
+/// calling `f(col, None)` for a deleted cell and `f(col, Some(value))` for
+/// an upserted one: the merge [`CsrMatrix::diff`] performs, without
+/// building its change list.
+#[inline(always)]
+fn row_changes(
+    (prev_cols, prev_vals): (&[usize], &[u64]),
+    (cur_cols, cur_vals): (&[usize], &[u64]),
+    mut f: impl FnMut(usize, Option<u64>),
+) {
+    let (mut i, mut j) = (0, 0);
+    while i < prev_cols.len() && j < cur_cols.len() {
+        let (pc, cc) = (prev_cols[i], cur_cols[j]);
+        if pc < cc {
+            f(pc, None);
+            i += 1;
+        } else if cc < pc {
+            f(cc, Some(cur_vals[j]));
+            j += 1;
+        } else {
+            if prev_vals[i] != cur_vals[j] {
+                f(cc, Some(cur_vals[j]));
+            }
+            i += 1;
+            j += 1;
+        }
+    }
+    for &c in &prev_cols[i..] {
+        f(c, None);
+    }
+    for (&c, &v) in cur_cols[j..].iter().zip(&cur_vals[j..]) {
+        f(c, Some(v));
+    }
+}
+
+/// Column delta against the previous column of the same list: the first
+/// is absolute, later ones store (delta - 1).
+#[inline]
+fn col_gap(prev: Option<usize>, col: usize) -> u64 {
+    match prev {
+        None => col as u64,
+        Some(p) => (col - p - 1) as u64,
+    }
+}
+
+/// Encoded bytes of one changed row's list counts and both lists, sized in
+/// a single merge walk.
+fn row_delta_len(prev: (&[usize], &[u64]), cur: (&[usize], &[u64])) -> usize {
+    let (mut dels, mut sets, mut bytes) = (0u64, 0u64, 0usize);
+    let (mut last_del, mut last_set) = (None, None);
+    row_changes(prev, cur, |c, v| match v {
+        Some(v) => {
+            sets += 1;
+            bytes += varint_len(col_gap(last_set, c)) + varint_len(v);
+            last_set = Some(c);
+        }
+        None => {
+            dels += 1;
+            bytes += varint_len(col_gap(last_del, c));
+            last_del = Some(c);
+        }
+    });
+    varint_len(dels) + varint_len(sets) + bytes
+}
+
+/// Scratch for one row's encoded delete and upsert lists while the row is
+/// written (its counts precede both lists on the wire).
+#[derive(Debug, Default)]
+struct RowLists {
+    dels: Vec<u8>,
+    sets: Vec<u8>,
+}
+
+/// A resumable, budgeted merge walk sizing the v3 delta from `prev` to
+/// `cur` (same shape) row by row, and then writing it.
+struct DeltaWalk<'a> {
+    prev: &'a WindowReport,
+    cur: &'a WindowReport,
+    /// The first row not yet sized.
+    next_row: usize,
+    /// Bytes of the header and the rows sized so far (without the
+    /// changed-row count, whose width is known only at the end).
+    len: usize,
+    changed_rows: usize,
+    last_row: Option<usize>,
+}
+
+impl<'a> DeltaWalk<'a> {
+    fn new(prev: &'a WindowReport, cur: &'a WindowReport) -> Self {
+        let (rows, cols) = cur.matrix.shape();
+        DeltaWalk {
+            prev,
+            cur,
+            next_row: 0,
+            len: WINDOW_MAGIC.len()
+                + 1
+                + stats_len(&cur.stats)
+                + varint_len(prev.stats.window_index)
+                + varint_len(rows as u64)
+                + varint_len(cols as u64)
+                + varint_len(cur.matrix.nnz() as u64),
+            changed_rows: 0,
+            last_row: None,
+        }
+    }
+
+    /// Size rows until the delta's exact length is known, returning it when
+    /// it is below `limit`, or until the length reaches `limit` (`None`). A
+    /// later call with a larger limit resumes where this one stopped.
+    fn advance(&mut self, limit: usize) -> Option<usize> {
+        let rows = self.cur.matrix.rows();
+        while self.next_row < rows {
+            // The changed-row count still to come takes at least one byte.
+            if self.len + 1 >= limit {
+                return None;
+            }
+            let r = self.next_row;
+            self.next_row += 1;
+            let (p, c) = (
+                row_slices(&self.prev.matrix, r),
+                row_slices(&self.cur.matrix, r),
+            );
+            if p == c {
+                continue;
+            }
+            self.len += varint_len(col_gap(self.last_row, r)) + row_delta_len(p, c);
+            self.last_row = Some(r);
+            self.changed_rows += 1;
+        }
+        let len = self.len + varint_len(self.changed_rows as u64);
+        (len < limit).then_some(len)
+    }
+
+    /// Append the delta to `buf`; [`DeltaWalk::advance`] must have sized
+    /// every row.
+    fn write(&self, buf: &mut Vec<u8>, lists: &mut RowLists) {
+        let (prev, cur) = (self.prev, self.cur);
+        let (rows, cols) = cur.matrix.shape();
+        buf.extend_from_slice(&WINDOW_MAGIC);
+        buf.push(DELTA_WINDOW_VERSION);
+        push_stats(buf, &cur.stats);
+        push_varint(buf, prev.stats.window_index);
+        push_varint(buf, rows as u64);
+        push_varint(buf, cols as u64);
+        push_varint(buf, cur.matrix.nnz() as u64);
+        push_varint(buf, self.changed_rows as u64);
+
+        // Per changed row (rows delta-compressed like the full layout): the
+        // deleted-column list, then the upserted (column, value) list, each
+        // with first-absolute / later (delta - 1) column compression.
+        let mut last_row: Option<usize> = None;
+        for r in 0..rows {
+            let (p, c) = (row_slices(&prev.matrix, r), row_slices(&cur.matrix, r));
+            if p == c {
+                continue;
+            }
+            let RowLists { dels, sets } = lists;
+            dels.clear();
+            sets.clear();
+            let (mut del_count, mut set_count) = (0u64, 0u64);
+            let (mut last_del, mut last_set) = (None, None);
+            row_changes(p, c, |col, v| match v {
+                Some(v) => {
+                    set_count += 1;
+                    push_varint(sets, col_gap(last_set, col));
+                    push_varint(sets, v);
+                    last_set = Some(col);
+                }
+                None => {
+                    del_count += 1;
+                    push_varint(dels, col_gap(last_del, col));
+                    last_del = Some(col);
+                }
+            });
+            push_varint(buf, col_gap(last_row, r));
+            last_row = Some(r);
+            push_varint(buf, del_count);
+            push_varint(buf, set_count);
+            buf.extend_from_slice(dels);
+            buf.extend_from_slice(sets);
+        }
+    }
 }
 
 /// Reusable decode state: the delta base window plus recycled CSR buffers.
@@ -730,18 +910,18 @@ fn parse_delta_body(
 
 /// The `codec.*` counters: encoder cadence and decoder buffer reuse.
 ///
-/// Encoding contexts (the archive recorder, the serve producer) drive
-/// `delta_windows`, `keyframes` and `bytes_saved`; decoding contexts wire
-/// `decode_reuse_hits` through [`DecodeScratch::instrument`]. `bytes_saved`
-/// is measured against the last key frame's encoded size — the steady-state
-/// proxy for what a full encoding of each delta window would have cost.
+/// A [`CadenceEncoder`] drives `delta_windows`, `keyframes` and
+/// `bytes_saved`; decoding contexts wire `decode_reuse_hits` through
+/// [`DecodeScratch::instrument`].
 #[derive(Debug, Clone)]
 pub struct CodecMetrics {
-    /// Windows encoded as deltas.
+    /// Windows shipped as deltas.
     pub delta_windows: Counter,
-    /// Windows encoded in full within a delta chain (key frames).
+    /// Windows shipped in full: cadence key frames plus the windows whose
+    /// delta was no smaller than their full encoding.
     pub keyframes: Counter,
-    /// Bytes the delta encoding saved vs the last key frame's size.
+    /// Bytes saved by shipping deltas: each window's full length minus the
+    /// length shipped (zero for a full window).
     pub bytes_saved: Counter,
     /// Decodes that built into recycled buffers instead of allocating.
     pub decode_reuse_hits: Counter,
@@ -755,6 +935,122 @@ impl CodecMetrics {
             keyframes: registry.counter("codec.keyframes"),
             bytes_saved: registry.counter("codec.bytes_saved"),
             decode_reuse_hits: registry.counter("codec.decode_reuse_hits"),
+        }
+    }
+}
+
+/// One window as a [`CadenceEncoder`] shipped it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedWindow {
+    /// The codec payload: a full v2 window or a v3 delta.
+    pub bytes: Vec<u8>,
+    /// Whether `bytes` is a delta (a `DeltaWindow` frame on the wire).
+    pub delta: bool,
+}
+
+/// The per-window full-vs-delta choice of a key-frame cadence stream, shared
+/// by the archive recorder and the serving tier.
+///
+/// With cadence `K > 0`, every `K`-th window (counting from the first) is a
+/// key frame. A window between key frames ships as a v3 delta against its
+/// predecessor only when the delta is strictly smaller than its own full v2
+/// encoding; otherwise (ties included) it ships in full. A full window is a
+/// valid anchor anywhere in a chain — [`decode_window_into`] takes one at
+/// any point — so a size fallback never breaks a reader. `K = 0` ships
+/// every window in full and keeps no base.
+#[derive(Debug)]
+pub struct CadenceEncoder {
+    keyframe_every: u64,
+    /// Windows encoded so far (the cadence position).
+    encoded: u64,
+    /// The previous window: the next delta's base (`K > 0` only).
+    base: Option<WindowReport>,
+    lists: RowLists,
+    metrics: Option<CodecMetrics>,
+}
+
+impl CadenceEncoder {
+    /// An encoder with key-frame cadence `keyframe_every` (0 = all full).
+    pub fn new(keyframe_every: u64) -> Self {
+        CadenceEncoder {
+            keyframe_every,
+            encoded: 0,
+            base: None,
+            lists: RowLists::default(),
+            metrics: None,
+        }
+    }
+
+    /// Count shipped windows into the `codec.*` counters of the registry.
+    pub fn instrument(&mut self, registry: &MetricsRegistry) {
+        self.metrics = Some(CodecMetrics::new(registry));
+    }
+
+    /// Take back the last [`CadenceEncoder::encode`], for a window its
+    /// caller failed to store: the cadence position steps back, and the
+    /// next window ships in full, since no delta may name a base that never
+    /// reached the reader. A full window off the cadence is a valid anchor,
+    /// so the stream stays decodable and its key frames stay in place.
+    pub fn rewind(&mut self) {
+        self.encoded = self.encoded.saturating_sub(1);
+        self.base = None;
+    }
+
+    /// Encode the stream's next window: full at a key frame, otherwise the
+    /// smaller of the delta against the previous window and the full
+    /// encoding.
+    ///
+    /// The delta is sized by a budgeted walk before any of it is written.
+    /// The walk first runs against a floor under the full length: a delta
+    /// below it wins without the full window being encoded at all. Past
+    /// the floor the full window is encoded and the walk resumes against
+    /// its exact length, so a losing delta costs a partial merge walk, not
+    /// an encoding.
+    pub fn encode(&mut self, report: &WindowReport) -> EncodedWindow {
+        let keyframe = self.keyframe_every == 0 || self.encoded.is_multiple_of(self.keyframe_every);
+        self.encoded += 1;
+        let mut full: Option<Vec<u8>> = None;
+        let delta = match &self.base {
+            Some(base) if !keyframe && base.matrix.shape() == report.matrix.shape() => {
+                let mut walk = DeltaWalk::new(base, report);
+                let len = walk.advance(full_len_floor(report)).or_else(|| {
+                    let full_len = full.insert(encode_window(report)).len();
+                    walk.advance(full_len)
+                });
+                len.map(|len| {
+                    let mut buf = Vec::with_capacity(len);
+                    walk.write(&mut buf, &mut self.lists);
+                    buf
+                })
+            }
+            _ => None,
+        };
+        if self.keyframe_every != 0 {
+            match &mut self.base {
+                Some(base) => base.clone_from(report),
+                None => self.base = Some(report.clone()),
+            }
+        }
+        if let Some(m) = &self.metrics {
+            match &delta {
+                Some(d) => {
+                    // A delta that won under the floor never needed the
+                    // full encoding; only the counter does.
+                    let full_len = full
+                        .as_ref()
+                        .map_or_else(|| encode_window(report).len(), Vec::len);
+                    m.delta_windows.inc();
+                    m.bytes_saved.add((full_len - d.len()) as u64);
+                }
+                None => m.keyframes.inc(),
+            }
+        }
+        match delta {
+            Some(bytes) => EncodedWindow { bytes, delta: true },
+            None => EncodedWindow {
+                bytes: full.unwrap_or_else(|| encode_window(report)),
+                delta: false,
+            },
         }
     }
 }
@@ -1112,6 +1408,67 @@ mod tests {
             decode_window_into(&padded, &mut scratch).map(|_| ()),
             Err(CodecError::Corrupt("trailing bytes after the last entry"))
         );
+    }
+
+    #[test]
+    fn varint_len_matches_push_varint() {
+        for v in [0, 1, 127, 128, 16_383, 16_384, u64::MAX >> 1, u64::MAX] {
+            let mut buf = Vec::new();
+            push_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "{v}");
+        }
+    }
+
+    #[test]
+    fn cadence_encoder_places_key_frames_and_falls_back_to_full() {
+        let cells: Vec<(usize, usize, u64)> =
+            (0..12).map(|i| (i, (i * 5) % 16, 40 + i as u64)).collect();
+        let mut windows = Vec::new();
+        for w in 0..4u64 {
+            let mut window_cells = cells.clone();
+            window_cells[w as usize].2 += 1;
+            let mut window = report(16, 16, &window_cells);
+            window.stats.window_index = w;
+            windows.push(window);
+        }
+        // A window whose base has another shape has no delta at all.
+        let mut reshaped = report(8, 8, &[(1, 1, 1)]);
+        reshaped.stats.window_index = 4;
+        windows.push(reshaped);
+
+        // K = 0: every window full, no base kept.
+        let mut zero = CadenceEncoder::new(0);
+        for window in &windows {
+            let encoded = zero.encode(window);
+            assert!(!encoded.delta);
+            assert_eq!(encoded.bytes, encode_window(window));
+        }
+        assert!(zero.base.is_none());
+
+        // K = 3: windows 0 and 3 are key frames; 1 and 2 ship the smaller
+        // delta; 4 changes shape and falls back to full.
+        let mut three = CadenceEncoder::new(3);
+        let shipped: Vec<bool> = windows.iter().map(|w| three.encode(w).delta).collect();
+        assert_eq!(shipped, [false, true, true, false, false]);
+
+        // A delta above the floor under the full length (3-byte values,
+        // most cells rewritten) is found by the walk resumed against the
+        // full encoding.
+        let wide: Vec<(usize, usize, u64)> = (0..64)
+            .map(|i| (i / 4, (i % 4) * 4, 100_000 + i as u64))
+            .collect();
+        let mut rewritten = wide.clone();
+        for cell in rewritten.iter_mut().take(40) {
+            cell.2 += 1;
+        }
+        let (before, mut after) = (report(16, 16, &wide), report(16, 16, &rewritten));
+        after.stats.window_index = before.stats.window_index + 1;
+        let mut encoder = CadenceEncoder::new(2);
+        assert!(!encoder.encode(&before).delta);
+        let shipped = encoder.encode(&after);
+        assert!(shipped.delta);
+        let len = shipped.bytes.len();
+        assert!(full_len_floor(&after) <= len && len < encode_window(&after).len());
     }
 
     #[test]

@@ -52,7 +52,10 @@
 //! * [`stream`] — the [`WindowStream`] trait unifying every producer above
 //!   (plus the rate-pacing [`Paced`] adapter), so consumers like the
 //!   `tw-game` broadcast hub drive live scenarios and replays through one
-//!   code path.
+//!   code path;
+//! * [`testkit`] — [`SteadyWindows`], a deterministic low-churn window
+//!   stream: the input on which the delta codec wins, shared by tests and
+//!   benches.
 
 pub mod codec;
 pub mod frame;
@@ -64,11 +67,13 @@ pub mod scenario;
 pub mod shard;
 pub mod source;
 pub mod stream;
+pub mod testkit;
 pub mod window;
 
 pub use codec::{
-    decode_window, decode_window_into, encode_window, encode_window_delta, CodecError,
-    CodecMetrics, DecodeScratch, DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION, MAX_DIMENSION,
+    decode_window, decode_window_into, delta_window_len, encode_window, encode_window_delta,
+    CadenceEncoder, CodecError, CodecMetrics, DecodeScratch, EncodedWindow, DELTA_WINDOW_VERSION,
+    FULL_WINDOW_VERSION, MAX_DIMENSION,
 };
 pub use frame::{
     decode_frame, encode_close_frame, encode_delta_frame, encode_frame, encode_manifest_frame,
@@ -87,6 +92,7 @@ pub use source::{
     P2pMeshSource, PatternSource, ScanSweepSource, Skewed,
 };
 pub use stream::{collect_stream, Paced, StreamError, WindowStream};
+pub use testkit::SteadyWindows;
 pub use window::{IngestStats, WindowClock, WindowReport};
 
 #[cfg(test)]

@@ -39,9 +39,7 @@
 //! assert!(replay.next_window().unwrap().is_none());
 //! ```
 
-use crate::codec::{
-    decode_window_into, encode_window, encode_window_delta, CodecError, CodecMetrics, DecodeScratch,
-};
+use crate::codec::{decode_window_into, CadenceEncoder, CodecError, DecodeScratch};
 use crate::window::{IngestStats, WindowReport};
 use std::fmt;
 use tw_archive::{ArchiveError, ZipReader, ZipWriter};
@@ -108,8 +106,9 @@ pub struct RecordingMeta {
     /// Tumbling-window duration in simulated microseconds.
     pub window_us: u64,
     /// Delta-encoding cadence: every `K`th window is a full key frame and
-    /// the rest are deltas against their predecessor; `0` records every
-    /// window in full (pre-delta archive format).
+    /// each window between is a delta against its predecessor where that
+    /// is smaller than the window in full (see [`CadenceEncoder`]); `0`
+    /// records every window in full (pre-delta archive format).
     pub keyframe_every: u64,
 }
 
@@ -129,13 +128,7 @@ pub struct ArchiveRecorder {
     writer: ZipWriter,
     meta: RecordingMeta,
     stats: Vec<IngestStats>,
-    /// The previously recorded window, kept as the next delta's base
-    /// (`None` until the first window, or always when `keyframe_every == 0`).
-    prev: Option<WindowReport>,
-    /// Encoded size of the last key frame: the steady-state proxy for what
-    /// each delta window would have cost in full, driving `bytes_saved`.
-    last_keyframe_len: usize,
-    metrics: Option<CodecMetrics>,
+    encoder: CadenceEncoder,
 }
 
 impl ArchiveRecorder {
@@ -143,56 +136,32 @@ impl ArchiveRecorder {
     pub fn new(meta: RecordingMeta) -> Self {
         ArchiveRecorder {
             writer: ZipWriter::new(),
+            encoder: CadenceEncoder::new(meta.keyframe_every),
             meta,
             stats: Vec::new(),
-            prev: None,
-            last_keyframe_len: 0,
-            metrics: None,
         }
     }
 
     /// Count encoded key frames, deltas, and bytes saved into the `codec.*`
     /// counters of the given registry.
     pub fn instrument(&mut self, registry: &MetricsRegistry) {
-        self.metrics = Some(CodecMetrics::new(registry));
+        self.encoder.instrument(registry);
     }
 
     /// Append one window to the recording.
     ///
     /// With a nonzero `keyframe_every` cadence `K`, every `K`th window (in
-    /// recording order, starting with the first) is stored in full and the
-    /// windows between them as deltas against their predecessor.
+    /// recording order, starting with the first) is stored in full and each
+    /// window between as a delta against its predecessor when the delta is
+    /// the smaller encoding.
     pub fn record(&mut self, report: &WindowReport) -> Result<(), RecordError> {
-        let k = self.meta.keyframe_every;
-        let keyframe = k == 0 || (self.stats.len() as u64).is_multiple_of(k);
-        let bytes = match (&self.prev, keyframe) {
-            (Some(prev), false) => {
-                let delta = encode_window_delta(prev, report);
-                if let Some(m) = &self.metrics {
-                    m.delta_windows.inc();
-                    m.bytes_saved
-                        .add(self.last_keyframe_len.saturating_sub(delta.len()) as u64);
-                }
-                delta
-            }
-            _ => {
-                let full = encode_window(report);
-                self.last_keyframe_len = full.len();
-                if let Some(m) = &self.metrics {
-                    m.keyframes.inc();
-                }
-                full
-            }
-        };
-        self.writer
-            .add_file(&window_entry_name(report.stats.window_index), &bytes)?;
-        self.stats.push(report.stats.clone());
-        if k != 0 {
-            match &mut self.prev {
-                Some(prev) => prev.clone_from(report),
-                None => self.prev = Some(report.clone()),
-            }
+        let encoded = self.encoder.encode(report);
+        let name = window_entry_name(report.stats.window_index);
+        if let Err(e) = self.writer.add_file(&name, &encoded.bytes) {
+            self.encoder.rewind();
+            return Err(e.into());
         }
+        self.stats.push(report.stats.clone());
         Ok(())
     }
 
@@ -478,15 +447,35 @@ mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, PipelineConfig};
     use crate::scenario::Scenario;
+    use crate::testkit::SteadyWindows;
 
-    fn record_ddos(windows: usize) -> (Vec<WindowReport>, Vec<u8>) {
-        record_ddos_with_cadence(windows, 0)
+    /// Record `reports` (128 nodes, seed 7) at the given cadence, counting
+    /// `codec.*` into `registry` when one is given.
+    fn record_at(
+        scenario: &str,
+        reports: &[WindowReport],
+        keyframe_every: u64,
+        registry: Option<&MetricsRegistry>,
+    ) -> Vec<u8> {
+        let mut recorder = ArchiveRecorder::new(RecordingMeta {
+            scenario: scenario.to_string(),
+            seed: 7,
+            node_count: 128,
+            window_us: 50_000,
+            keyframe_every,
+        });
+        if let Some(registry) = registry {
+            recorder.instrument(registry);
+        }
+        for report in reports {
+            recorder.record(report).unwrap();
+        }
+        assert_eq!(recorder.windows_recorded(), reports.len());
+        recorder.finish().unwrap()
     }
 
-    fn record_ddos_with_cadence(
-        windows: usize,
-        keyframe_every: u64,
-    ) -> (Vec<WindowReport>, Vec<u8>) {
+    /// `windows` bursty ddos windows and their full-window recording.
+    fn record_ddos(windows: usize) -> (Vec<WindowReport>, Vec<u8>) {
         let config = PipelineConfig {
             window_us: 50_000,
             batch_size: 4_096,
@@ -494,20 +483,14 @@ mod tests {
             reorder_horizon_us: 0,
             ..Default::default()
         };
-        let mut pipeline = Pipeline::new(Scenario::Ddos.source(128, 7), config);
-        let mut recorder = ArchiveRecorder::new(RecordingMeta {
-            scenario: "ddos".to_string(),
-            seed: 7,
-            node_count: 128,
-            window_us: 50_000,
-            keyframe_every,
-        });
-        let reports = pipeline.run(windows);
-        for report in &reports {
-            recorder.record(report).unwrap();
-        }
-        assert_eq!(recorder.windows_recorded(), reports.len());
-        (reports, recorder.finish().unwrap())
+        let reports = Pipeline::new(Scenario::Ddos.source(128, 7), config).run(windows);
+        let bytes = record_at("ddos", &reports, 0, None);
+        (reports, bytes)
+    }
+
+    /// `windows` steady windows: the input on which deltas win.
+    fn steady(windows: usize) -> Vec<WindowReport> {
+        SteadyWindows::new(128, 1_000, windows, 7).collect()
     }
 
     #[test]
@@ -603,6 +586,32 @@ mod tests {
             recorder.record(&reports[0]),
             Err(RecordError::Archive(ArchiveError::DuplicateEntry(_)))
         ));
+
+        // A rejected window never becomes a delta base, and the cadence
+        // counts only stored windows: a steady chain that keeps recording
+        // after the rejection still replays and seeks cell for cell.
+        let steady = steady(5);
+        let mut recorder = ArchiveRecorder::new(RecordingMeta {
+            keyframe_every: 2,
+            ..recorder.meta.clone()
+        });
+        let mut imposter = steady[2].clone();
+        imposter.stats.window_index = 1;
+        for (i, report) in steady.iter().enumerate() {
+            recorder.record(report).unwrap();
+            if i == 1 {
+                assert!(recorder.record(&imposter).is_err());
+            }
+        }
+        let bytes = recorder.finish().unwrap();
+        let replayed = ReplaySource::parse(&bytes)
+            .unwrap()
+            .collect_windows()
+            .unwrap();
+        assert_eq!(replayed, steady);
+        let mut seeker = crate::replay::SeekReplaySource::new(std::io::Cursor::new(bytes)).unwrap();
+        assert_eq!(seeker.seek(3).unwrap(), 2);
+        assert_eq!(seeker.next_window().unwrap().as_ref(), Some(&steady[3]));
     }
 
     #[test]
@@ -660,7 +669,7 @@ mod tests {
     fn delta_recordings_replay_cell_for_cell() {
         let (reports, _) = record_ddos(6);
         for cadence in [1u64, 2, 3, 5, 10] {
-            let (_, bytes) = record_ddos_with_cadence(6, cadence);
+            let bytes = record_at("ddos", &reports, cadence, None);
             let mut replay = ReplaySource::parse(&bytes).unwrap();
             assert_eq!(replay.manifest().keyframe_every, cadence);
             for recorded in &reports {
@@ -675,49 +684,12 @@ mod tests {
 
     #[test]
     fn deltas_shrink_steady_recordings() {
-        // A steady stream — a big fixed matrix with two cells drifting per
-        // window — is where the delta codec earns its keep: each non-key
-        // entry encodes two cells instead of a thousand.
-        use tw_matrix::CsrMatrix;
-        let steady_reports: Vec<WindowReport> = (0..8u64)
-            .map(|w| {
-                let entries: Vec<(usize, usize, u64)> = (0..1_000usize)
-                    .map(|i| {
-                        let row = i / 40;
-                        let col = (i % 40) * 3;
-                        let drift = u64::from(i as u64 % 500 == w);
-                        (row, col, 100 + i as u64 + drift)
-                    })
-                    .collect();
-                WindowReport {
-                    matrix: CsrMatrix::from_sorted_triples(128, 128, &entries),
-                    stats: IngestStats {
-                        window_index: w,
-                        events: 1_000,
-                        packets: 100_000,
-                        nnz: 1_000,
-                        dropped_late: 0,
-                        reordered: 0,
-                        elapsed: std::time::Duration::from_micros(50),
-                    },
-                }
-            })
-            .collect();
-        let record = |cadence: u64| {
-            let mut recorder = ArchiveRecorder::new(RecordingMeta {
-                scenario: "steady".to_string(),
-                seed: 1,
-                node_count: 128,
-                window_us: 50_000,
-                keyframe_every: cadence,
-            });
-            for report in &steady_reports {
-                recorder.record(report).unwrap();
-            }
-            recorder.finish().unwrap()
-        };
-        let full = record(0);
-        let delta = record(4);
+        // A steady stream — a fixed hot set with ~2% churn per window — is
+        // where the delta codec earns its keep: each non-key entry encodes
+        // the changed cells instead of a thousand.
+        let steady_reports = steady(8);
+        let full = record_at("steady", &steady_reports, 0, None);
+        let delta = record_at("steady", &steady_reports, 4, None);
         assert!(
             (delta.len() as f64) < 0.7 * full.len() as f64,
             "delta archive {} should be at least 30% smaller than {}",
@@ -734,11 +706,11 @@ mod tests {
 
     #[test]
     fn delta_cadence_places_keyframes_where_the_manifest_says() {
-        // Cadence 3 over 7 windows: entries 0, 3, 6 are full (v2 codec
-        // bytes), everything else is a v3 delta. The manifest bumps to the
-        // delta version so pre-delta readers reject it cleanly.
+        // Cadence 3 over 7 steady windows: entries 0, 3, 6 are full (v2
+        // codec bytes), everything else is a v3 delta. The manifest bumps
+        // to the delta version so pre-delta readers reject it cleanly.
         use crate::codec::{DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION};
-        let (_, bytes) = record_ddos_with_cadence(7, 3);
+        let bytes = record_at("steady", &steady(7), 3, None);
         let reader = ZipReader::parse(&bytes).unwrap();
         let manifest = tw_json::parse(reader.read_text(MANIFEST_ENTRY).unwrap()).unwrap();
         assert_eq!(
@@ -809,29 +781,41 @@ mod tests {
 
     #[test]
     fn recorder_metrics_count_keyframes_deltas_and_savings() {
-        let config = PipelineConfig {
-            window_us: 50_000,
-            batch_size: 4_096,
-            shard_count: 2,
-            reorder_horizon_us: 0,
-            ..Default::default()
+        use crate::codec::{encode_window, encode_window_delta, FULL_WINDOW_VERSION};
+        let metered = |reports: &[WindowReport]| {
+            let registry = MetricsRegistry::new();
+            let bytes = record_at("metered", reports, 2, Some(&registry));
+            (registry.snapshot(), bytes)
         };
-        let mut pipeline = Pipeline::new(Scenario::Ddos.source(128, 7), config);
-        let mut recorder = ArchiveRecorder::new(RecordingMeta {
-            scenario: "ddos".to_string(),
-            seed: 7,
-            node_count: 128,
-            window_us: 50_000,
-            keyframe_every: 2,
-        });
-        let registry = MetricsRegistry::new();
-        recorder.instrument(&registry);
-        for report in pipeline.run(5) {
-            recorder.record(&report).unwrap();
+
+        // Steady: key frames at windows 0, 2, 4 and deltas at 1, 3, each
+        // saving its full length minus its delta length.
+        let steady = steady(5);
+        let (snapshot, _) = metered(&steady);
+        assert_eq!(snapshot.counter("codec.keyframes"), 3);
+        assert_eq!(snapshot.counter("codec.delta_windows"), 2);
+        let saved: usize = [1, 3]
+            .iter()
+            .map(|&i| {
+                encode_window(&steady[i]).len()
+                    - encode_window_delta(&steady[i - 1], &steady[i]).len()
+            })
+            .sum();
+        assert_eq!(snapshot.counter("codec.bytes_saved"), saved as u64);
+
+        // Bursty ddos: every delta is larger than its window in full, so
+        // all five entries fall back to full v2 windows and nothing is
+        // saved.
+        let (ddos, _) = record_ddos(5);
+        let (snapshot, bytes) = metered(&ddos);
+        assert_eq!(snapshot.counter("codec.keyframes"), 5);
+        assert_eq!(snapshot.counter("codec.delta_windows"), 0);
+        assert_eq!(snapshot.counter("codec.bytes_saved"), 0);
+        let reader = ZipReader::parse(&bytes).unwrap();
+        for i in 0..5u64 {
+            let entry = reader.read(&window_entry_name(i)).unwrap();
+            assert_eq!(entry[4], FULL_WINDOW_VERSION, "entry {i}");
         }
-        let snapshot = registry.snapshot();
-        assert_eq!(snapshot.counter("codec.keyframes"), 3); // windows 0, 2, 4
-        assert_eq!(snapshot.counter("codec.delta_windows"), 2); // windows 1, 3
     }
 
     #[test]

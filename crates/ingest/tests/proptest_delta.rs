@@ -1,17 +1,18 @@
 //! Property tests for the v3 delta codec and cross-version decoding: a v2
 //! archive reads bit-identically under the v3 reader, any delta chain is
 //! cell-for-cell equal to the full stream it compresses (including seeks
-//! landing mid-chain), and no byte stream — full, delta, mixed, or corrupt
-//! — panics the decoder.
+//! landing mid-chain), the cadence encoder's sizing walk agrees with the
+//! encoder and ships the smaller encoding, and no byte stream — full,
+//! delta, mixed, or corrupt — panics the decoder.
 
 use proptest::prelude::*;
 use std::io::Cursor;
 use std::time::Duration;
 use tw_ingest::frame::{encode_delta_frame, encode_window_frame, read_raw_frame, FrameKind};
 use tw_ingest::{
-    decode_window, decode_window_into, encode_window, encode_window_delta, ArchiveRecorder,
-    DecodeScratch, IngestStats, RecordingMeta, ReplaySource, SeekReplaySource, WindowReport,
-    FULL_WINDOW_VERSION,
+    decode_window, decode_window_into, delta_window_len, encode_window, encode_window_delta,
+    ArchiveRecorder, CadenceEncoder, DecodeScratch, IngestStats, RecordingMeta, ReplaySource,
+    SeekReplaySource, WindowReport, DELTA_WINDOW_VERSION, FULL_WINDOW_VERSION,
 };
 use tw_matrix::CsrMatrix;
 
@@ -41,6 +42,52 @@ fn arb_report(n: usize) -> impl Strategy<Value = WindowReport> {
                 elapsed: Duration::from_nanos(42),
             },
         }
+    })
+}
+
+/// Cell edits `(row, col, value)`: value 0 deletes the cell, anything else
+/// upserts it.
+fn arb_edits(n: usize) -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
+    prop::collection::vec((0..n as u32, 0..n as u32, 0u64..4), 0..4)
+}
+
+/// `base` with `edits` applied: a low-churn successor window, on which a
+/// delta is usually smaller than the full encoding.
+fn drift(base: &WindowReport, edits: &[(u32, u32, u64)]) -> WindowReport {
+    let mut cells: Vec<(usize, usize, u64)> = base.matrix.iter().collect();
+    for &(r, c, v) in edits {
+        let key = (r as usize, c as usize);
+        match cells.binary_search_by_key(&key, |&(r, c, _)| (r, c)) {
+            Ok(i) if v == 0 => drop(cells.remove(i)),
+            Ok(i) => cells[i].2 = v,
+            Err(i) if v != 0 => cells.insert(i, (key.0, key.1, v)),
+            Err(_) => {}
+        }
+    }
+    let (rows, cols) = base.matrix.shape();
+    let matrix = CsrMatrix::from_sorted_triples(rows, cols, &cells);
+    let mut stats = base.stats.clone();
+    stats.nnz = matrix.nnz();
+    WindowReport { matrix, stats }
+}
+
+/// A drifting window sequence over an `n`-address space: an arbitrary first
+/// window, then mostly a [`drift`] of the window before (a delta usually
+/// wins) and about one window in eight drawn afresh (the delta usually
+/// loses, so the chain carries a full-window fallback).
+fn arb_chain(n: usize) -> impl Strategy<Value = Vec<WindowReport>> {
+    let step = (arb_edits(n), arb_report(n), 0u8..8);
+    (arb_report(n), prop::collection::vec(step, 0..8)).prop_map(|(first, steps)| {
+        let mut chain = vec![first];
+        for (edits, fresh, pick) in steps {
+            let next = if pick == 0 {
+                fresh
+            } else {
+                drift(chain.last().expect("starts non-empty"), &edits)
+            };
+            chain.push(next);
+        }
+        reindex(chain)
     })
 }
 
@@ -92,6 +139,47 @@ proptest! {
     }
 
     #[test]
+    fn cadence_encoder_ships_the_smaller_encoding(
+        prev in arb_report(48),
+        cur in arb_report(48),
+        limit in 0usize..2048,
+        edits in arb_edits(48),
+        drifted in any::<bool>(),
+    ) {
+        // Half the cases patch `prev` lightly instead of drawing an
+        // unrelated window, so the delta-wins branch is exercised as often
+        // as the fallback.
+        let cur = if drifted { drift(&prev, &edits) } else { cur };
+        let reports = reindex(vec![prev, cur]);
+        let delta = encode_window_delta(&reports[0], &reports[1]);
+        let full = encode_window(&reports[1]);
+
+        // The sizing walk is exact, and budgeted: it answers only below
+        // its limit.
+        prop_assert_eq!(delta_window_len(&reports[0], &reports[1], usize::MAX), Some(delta.len()));
+        prop_assert_eq!(
+            delta_window_len(&reports[0], &reports[1], limit),
+            (delta.len() < limit).then_some(delta.len())
+        );
+
+        // The encoder ships the strictly smaller encoding; ties go full.
+        let mut encoder = CadenceEncoder::new(2);
+        let key = encoder.encode(&reports[0]);
+        prop_assert!(!key.delta);
+        let shipped = encoder.encode(&reports[1]);
+        let want = if delta.len() < full.len() { &delta } else { &full };
+        prop_assert_eq!(&shipped.bytes, want);
+        prop_assert_eq!(shipped.delta, shipped.bytes[4] == DELTA_WINDOW_VERSION);
+
+        // Whatever shipped decodes to the current window through a scratch.
+        let mut scratch = DecodeScratch::new();
+        decode_window_into(&key.bytes, &mut scratch).unwrap();
+        let decoded = decode_window_into(&shipped.bytes, &mut scratch).unwrap();
+        prop_assert_eq!(&decoded.matrix, &reports[1].matrix);
+        prop_assert_eq!(&decoded.stats, &reports[1].stats);
+    }
+
+    #[test]
     fn v2_windows_decode_bit_identically_under_the_v3_reader(report in arb_report(64)) {
         // The full encoding still writes version 2 bytes; both the plain
         // decoder and the scratch path read them to the same report.
@@ -106,11 +194,10 @@ proptest! {
 
     #[test]
     fn delta_chains_replay_and_seek_cell_for_cell(
-        reports in prop::collection::vec(arb_report(32), 1..9),
+        reports in arb_chain(32),
         keyframe_every in 0u64..=5,
         target in 0usize..9,
     ) {
-        let reports = reindex(reports);
         let bytes = record(&reports, keyframe_every);
 
         // Straight replay: every window equals the recorded one.

@@ -19,9 +19,9 @@
 //!
 //! Each window is encoded **once**; every connection shares the same frame
 //! bytes behind an `Arc`. With [`ServeConfig::keyframe_every`] set, the
-//! windows between key frames go out as v3 delta frames and a late joiner
-//! is caught up from the newest key frame covering its join point (the
-//! hub's [`CatchupRewrite`](tw_game::broadcast::CatchupRewrite) hook). A slow connection fills its bounded channel and
+//! windows between key frames go out as v3 delta frames wherever a delta is
+//! smaller than the full frame, and a late joiner is caught up from the
+//! newest key frame covering its join point (the hub's [`CatchupRewrite`](tw_game::broadcast::CatchupRewrite) hook). A slow connection fills its bounded channel and
 //! starts dropping frames — counted per subscriber, surfaced on telemetry,
 //! and echoed to the peer in its close frame — but it never stalls the
 //! class. A dead connection fails its next write, the writer thread exits,
@@ -46,8 +46,8 @@ use tw_ingest::frame::{
     StreamManifest,
 };
 use tw_ingest::{
-    decode_window_into, encode_window, encode_window_delta, CodecMetrics, DecodeScratch,
-    StreamError, WindowReport, WindowStream,
+    decode_window_into, encode_window, CadenceEncoder, DecodeScratch, StreamError, WindowReport,
+    WindowStream,
 };
 use tw_metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, StageTimer};
 
@@ -145,10 +145,12 @@ pub struct ServeConfig {
     /// 0 (the default) keeps the wire free of stats frames.
     pub stats_every: u64,
     /// Key-frame cadence for v3 delta serving: every K-th window goes out
-    /// as a self-contained full frame, the windows between as sparse deltas
-    /// against the previous window. 0 (the default) serves every window as
-    /// a full v2 frame. Clamped to `ring_capacity` so the catch-up ring
-    /// always holds a key frame for late joiners to anchor on.
+    /// as a self-contained full frame; each window between goes out as a
+    /// sparse delta against the previous window where that is smaller than
+    /// the full frame, and in full otherwise (see [`CadenceEncoder`]).
+    /// 0 (the default) serves every window as a full v2 frame. Clamped to
+    /// `ring_capacity` so the catch-up ring always holds a key frame for
+    /// late joiners to anchor on.
     pub keyframe_every: u64,
 }
 
@@ -271,10 +273,13 @@ pub fn serve(
         frame_write_ns: registry.histogram("serve.frame_write_ns"),
         wire_bytes: registry.counter("serve.wire_bytes"),
     });
-    let codec_metrics = config.metrics.as_ref().map(CodecMetrics::new);
     // The cadence is clamped to the ring so a joiner's catch-up always
     // contains a key frame to anchor its delta chain on.
     let keyframe_every = config.keyframe_every.min(config.ring_capacity as u64);
+    let mut encoder = CadenceEncoder::new(keyframe_every);
+    if let Some(registry) = &config.metrics {
+        encoder.instrument(registry);
+    }
     if keyframe_every > 0 {
         hub.set_catchup_rewrite(rewrite_delta_catchup);
     }
@@ -338,8 +343,6 @@ pub fn serve(
         }
 
         let mut sent = 0usize;
-        let mut prev: Option<WindowReport> = None;
-        let mut last_keyframe_len = 0usize;
         while sent < config.max_windows {
             if config.stop_when_empty
                 && handle.subscribers_joined() > 0
@@ -352,40 +355,20 @@ pub fn serve(
                     let index = report.stats.window_index;
                     let encode_timer =
                         StageTimer::start(serve_metrics.as_ref().map(|m| &m.encode_ns));
-                    let keyframe =
-                        keyframe_every == 0 || (sent as u64).is_multiple_of(keyframe_every);
-                    let (encoded, framed) = match (&prev, keyframe) {
-                        (Some(base), false) => {
-                            let delta = encode_window_delta(base, &report);
-                            let framed = encode_delta_frame(&delta);
-                            if let Some(m) = &codec_metrics {
-                                m.delta_windows.inc();
-                                m.bytes_saved
-                                    .add(last_keyframe_len.saturating_sub(delta.len()) as u64);
-                            }
-                            (delta, framed)
-                        }
-                        _ => {
-                            let full = encode_window(&report);
-                            let framed = encode_window_frame(&full);
-                            last_keyframe_len = full.len();
-                            if let Some(m) = &codec_metrics {
-                                m.keyframes.inc();
-                            }
-                            (full, framed)
-                        }
+                    let encoded = encoder.encode(&report);
+                    let framed = if encoded.delta {
+                        encode_delta_frame(&encoded.bytes)
+                    } else {
+                        encode_window_frame(&encoded.bytes)
                     };
                     encode_timer.finish();
-                    encoded_bytes += encoded.len() as u64;
+                    let len = encoded.bytes.len() as u64;
+                    encoded_bytes += len;
                     if let Some(m) = &serve_metrics {
                         m.windows_encoded.inc();
-                        m.encoded_bytes.add(encoded.len() as u64);
+                        m.encoded_bytes.add(len);
                     }
-                    let frame: Arc<[u8]> = framed.into();
-                    hub.publish_window(index, frame);
-                    if keyframe_every != 0 {
-                        prev = Some(report);
-                    }
+                    hub.publish_window(index, framed.into());
                     sent += 1;
                 }
                 Ok(None) => break,
@@ -545,7 +528,7 @@ pub fn loopback_listener() -> Result<TcpListener, ServeError> {
 mod tests {
     use super::*;
     use crate::client::ClientStream;
-    use tw_ingest::{collect_stream, Pipeline, PipelineConfig, Scenario};
+    use tw_ingest::{collect_stream, Pipeline, PipelineConfig, Scenario, SteadyWindows};
 
     fn ddos_pipeline(nodes: u32) -> Pipeline {
         let config = PipelineConfig {
@@ -655,54 +638,62 @@ mod tests {
 
     #[test]
     fn delta_serving_is_cell_for_cell_and_counts_codec_metrics() {
-        let reference = ddos_pipeline(64).run(6);
-        let listener = loopback_listener().unwrap();
-        let addr = listener.local_addr().unwrap();
-        let registry = tw_metrics::MetricsRegistry::new();
-        let config = ServeConfig {
-            scenario: "ddos".to_string(),
-            seed: 7,
-            wait_for: 2,
-            max_windows: 6,
-            keyframe_every: 3,
-            metrics: Some(registry),
-            ..ServeConfig::default()
-        };
-        std::thread::scope(|scope| {
-            let clients: Vec<_> = (0..2)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut client = ClientStream::connect(addr).unwrap();
-                        let windows = collect_stream(&mut client, usize::MAX).unwrap();
-                        (windows, client)
+        // Steady windows ship deltas between the key frames at windows 0
+        // and 3; bursty ddos windows, each delta larger than its window in
+        // full, fall back to full frames throughout and save nothing.
+        let cases: [(Box<dyn WindowStream>, Vec<WindowReport>, u64); 2] = [
+            (
+                Box::new(SteadyWindows::new(64, 400, 6, 7)),
+                SteadyWindows::new(64, 400, 6, 7).collect(),
+                4,
+            ),
+            (Box::new(ddos_pipeline(64)), ddos_pipeline(64).run(6), 0),
+        ];
+        for (mut stream, reference, deltas) in cases {
+            let listener = loopback_listener().unwrap();
+            let addr = listener.local_addr().unwrap();
+            let config = ServeConfig {
+                wait_for: 2,
+                max_windows: 6,
+                keyframe_every: 3,
+                metrics: Some(tw_metrics::MetricsRegistry::new()),
+                ..ServeConfig::default()
+            };
+            std::thread::scope(|scope| {
+                let clients: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(move || {
+                            let mut client = ClientStream::connect(addr).unwrap();
+                            collect_stream(&mut client, usize::MAX).unwrap()
+                        })
                     })
-                })
-                .collect();
-            let mut stream = ddos_pipeline(64);
-            let summary = serve(listener, &mut stream, &config, None).unwrap();
-            assert_eq!(summary.windows(), 6);
-            assert_eq!(summary.broadcast.conservation_error(), None);
-            let snapshot = summary.snapshot.as_ref().expect("metrics were on");
-            assert_eq!(snapshot.counter("codec.keyframes"), 2, "windows 0 and 3");
-            assert_eq!(snapshot.counter("codec.delta_windows"), 4);
-            for client in clients {
-                let (windows, _) = client.join().unwrap();
-                assert_eq!(windows.len(), 6);
-                for (reference, got) in reference.iter().zip(&windows) {
-                    assert_eq!(reference.matrix, got.matrix, "cell-for-cell");
-                    assert_eq!(reference.stats.window_index, got.stats.window_index);
+                    .collect();
+                let summary = serve(listener, &mut stream, &config, None).unwrap();
+                assert_eq!(summary.windows(), 6);
+                assert_eq!(summary.broadcast.conservation_error(), None);
+                let snapshot = summary.snapshot.as_ref().expect("metrics were on");
+                assert_eq!(snapshot.counter("codec.keyframes"), 6 - deltas);
+                assert_eq!(snapshot.counter("codec.delta_windows"), deltas);
+                assert_eq!(snapshot.counter("codec.bytes_saved") == 0, deltas == 0);
+                for client in clients {
+                    let windows = client.join().unwrap();
+                    assert_eq!(windows.len(), 6);
+                    for (reference, got) in reference.iter().zip(&windows) {
+                        assert_eq!(reference.matrix, got.matrix, "cell-for-cell");
+                        assert_eq!(reference.stats.window_index, got.stats.window_index);
+                    }
                 }
-            }
-        });
+            });
+        }
     }
 
     #[test]
     fn late_joiner_mid_chain_gets_a_materialized_key_frame() {
-        let reference = ddos_pipeline(32).run(6);
+        let reference: Vec<WindowReport> = SteadyWindows::new(32, 200, 6, 7).collect();
         let listener = loopback_listener().unwrap();
         let addr = listener.local_addr().unwrap();
         let config = ServeConfig {
-            scenario: "ddos".to_string(),
+            scenario: "steady".to_string(),
             seed: 7,
             wait_for: 1,
             max_windows: 6,
@@ -735,7 +726,7 @@ mod tests {
                 let close = *client.close_summary().expect("clean close");
                 (windows, close)
             });
-            let mut stream = tw_ingest::Paced::new(ddos_pipeline(32), 5);
+            let mut stream = tw_ingest::Paced::new(SteadyWindows::new(32, 200, 6, 7), 5);
             let summary = serve(listener, &mut stream, &config, None).unwrap();
             assert_eq!(summary.windows(), 6);
             let (on_time_seen, reuse_hits) = on_time.join().unwrap();
