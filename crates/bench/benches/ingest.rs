@@ -7,11 +7,11 @@
 //!    accumulator (hash-partition by source row, per-shard coalesce, blocked
 //!    row-disjoint merge) than through the serial single-COO path.
 //! 2. The hot-path claim behind the parallel routing + scratch-recycling
-//!    rework: the current pipeline (batched window scan, `route_batch`
-//!    fan-out, warm rotation scratch, recycled CSR storage) beats a faithful
-//!    replica of the pre-rework per-event loop (VecDeque pop + per-event
-//!    window division + one-event routing + cold fresh-allocation merges)
-//!    by at least 1.25x on the same ten-window workload.
+//!    rework: the current pipeline (batched window scan, whole-batch
+//!    `route_batch`, warm rotation scratch, recycled CSR storage) beats a
+//!    faithful replica of the pre-rework per-event loop (VecDeque pop +
+//!    per-event window division + one-event routing + cold fresh-allocation
+//!    merges) by at least 1.25x on the same ten-window workload.
 //!
 //! Event count defaults to 1e6; set `TW_INGEST_BENCH_EVENTS` to shrink it
 //! (CI's bench smoke step runs with a tiny count, where the speedup
@@ -158,9 +158,9 @@ fn legacy_ten_windows(scenario: Scenario, nodes: u32, window_us: u64) -> u64 {
 }
 
 /// The current hot path as a consumer actually drives it: batched scan +
-/// parallel routing inside the pipeline, and every emitted matrix handed
-/// back through `recycle_window` so rotation storage cycles instead of
-/// being reallocated.
+/// batch routing inside the pipeline (inline: an 8,192-event batch is under
+/// the fan-out grain), and every emitted matrix handed back through
+/// `recycle_window` so rotation storage cycles instead of being reallocated.
 fn routed_ten_windows(scenario: Scenario, nodes: u32, window_us: u64) -> u64 {
     let config = PipelineConfig {
         window_us,

@@ -140,7 +140,9 @@ Commands:
                                               reordering horizon that absorbs it;
                                               --route-threads caps the routing
                                               workers per batch (0 = one per
-                                              hardware thread);
+                                              hardware thread), used only for
+                                              batches of 131072+ events (so
+                                              not at the default --batch);
                                               --record also captures the window stream
                                               as a replayable ZIP (--keyframe-every N
                                               stores every N-th window in full and the
@@ -907,7 +909,8 @@ pub struct IngestArgs {
     pub seed: u64,
     /// Shard count (0 = auto).
     pub shards: usize,
-    /// Routing worker threads per batch (0 = one per hardware thread).
+    /// Routing worker threads per batch (0 = one per hardware thread); batches
+    /// under 131,072 events (`2 * tw_ingest::shard::PAR_GRAIN`) route inline.
     pub route_threads: usize,
     /// Batch size (the backpressure bound).
     pub batch: usize,
@@ -1362,7 +1365,8 @@ pub struct ClassroomArgs {
     pub seed: u64,
     /// Shard count for live scenarios (0 = auto).
     pub shards: usize,
-    /// Routing worker threads per batch (0 = one per hardware thread).
+    /// Routing worker threads per batch (0 = one per hardware thread); batches
+    /// under 131,072 events (`2 * tw_ingest::shard::PAR_GRAIN`) route inline.
     pub route_threads: usize,
     /// Tumbling-window duration for live scenarios.
     pub window_us: u64,
@@ -1598,7 +1602,8 @@ pub struct ServeArgs {
     pub seed: u64,
     /// Shard count for live scenarios (0 = auto).
     pub shards: usize,
-    /// Routing worker threads per batch (0 = one per hardware thread).
+    /// Routing worker threads per batch (0 = one per hardware thread); batches
+    /// under 131,072 events (`2 * tw_ingest::shard::PAR_GRAIN`) route inline.
     pub route_threads: usize,
     /// Tumbling-window duration for live scenarios.
     pub window_us: u64,

@@ -14,8 +14,11 @@
 //! two phases per pass: a *scan* that classifies the queue head against the
 //! current window with two timestamp compares per event (no division), and a
 //! *route* that hands the whole current-window batch to
-//! [`ShardedAccumulator::route_batch`] — fanned out across
-//! [`PipelineConfig::route_threads`] workers when the batch is large enough.
+//! [`ShardedAccumulator::route_batch`], which fans out across
+//! [`PipelineConfig::route_threads`] workers only for batches of at least
+//! `2 *` [`PAR_GRAIN`](crate::shard::PAR_GRAIN) events. With the default
+//! 8,192-event batch a strict-mode pipeline therefore routes inline, on the
+//! thread that calls [`Pipeline::next_window`].
 //! Window rotation reuses merge scratch, coalesce buffers and (with consumer
 //! cooperation via [`Pipeline::recycle_window`]) the CSR arrays themselves,
 //! so a steady pipeline reaches zero steady-state allocation per window.
@@ -92,7 +95,10 @@ pub struct PipelineConfig {
     /// Routing worker threads per batch; `0` = one per hardware thread.
     /// Independent of [`PipelineConfig::shard_count`]: workers route into
     /// thread-local per-shard buffers that are handed to the owning shards
-    /// at rotation. `1` routes serially (small batches always do).
+    /// at rotation. `1` routes serially, and so does any batch under
+    /// `2 *` [`PAR_GRAIN`](crate::shard::PAR_GRAIN) events: with the default
+    /// [`PipelineConfig::batch_size`] a strict-mode pipeline always routes
+    /// inline, whatever this is set to.
     pub route_threads: usize,
     /// Keep merge scratch, routing buffers and pooled CSR arrays alive
     /// across windows (the default). `false` releases everything after each
@@ -439,10 +445,10 @@ impl Pipeline {
 /// timestamp compares per event — the bounds are precomputed, so no division
 /// runs on the hot path. The scan stops at the first event belonging to a
 /// later window. Phase 2 (route): the whole in-window run in one
-/// `route_batch` call, fanned out across workers when large enough — routed
-/// straight from the input slice, with `route_buf` staging a compacted copy
-/// only when late drops interleave (strict mode on unsorted input, the rare
-/// case).
+/// `route_batch` call, fanned out across workers only from `2 * PAR_GRAIN`
+/// events (see [`crate::shard`]) — routed straight from the input slice,
+/// with `route_buf` staging a compacted copy only when late drops interleave
+/// (strict mode on unsorted input, the rare case).
 ///
 /// Returns `(consumed, close_window)`: how many events were consumed
 /// (routed or dropped late) and whether an event for a later window was hit.
@@ -543,7 +549,7 @@ impl crate::stream::WindowStream for Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::window_matrix;
+    use crate::shard::{window_matrix, PAR_GRAIN};
     use crate::source::{collect_events, HeavyTailSource, Limit, ScanSweepSource};
     use tw_matrix::ops::reduce_all;
     use tw_matrix::PlusTimes;
@@ -618,24 +624,31 @@ mod tests {
 
     #[test]
     fn route_thread_fanout_is_invisible_in_the_reports() {
-        // Large windows (well past the fan-out grain) so multi-threaded
-        // routing actually engages, with a recycling consumer on one side:
-        // reports must be identical either way.
+        // Batches of 2 * PAR_GRAIN events so multi-threaded routing actually
+        // engages, and ~150k-event windows (50k events per simulated second)
+        // so the first merge fans out while the shorter last one runs
+        // inline, with a recycling consumer on one side: reports must be
+        // identical either way.
+        let total = 4 * PAR_GRAIN;
         let reference_config = PipelineConfig {
-            window_us: 400_000,
+            window_us: 3_000_000,
+            batch_size: 2 * PAR_GRAIN,
             shard_count: 4,
             route_threads: 1,
             ..PipelineConfig::default()
         };
         let mut reference =
-            Pipeline::new(limited_background(64, 40_000, 17), reference_config.clone());
+            Pipeline::new(limited_background(64, total, 17), reference_config.clone());
         let expected = reference.run(usize::MAX);
+        assert_eq!(expected.len(), 2);
+        assert!(expected[0].stats.events >= 2 * PAR_GRAIN as u64);
+        assert!(expected[1].stats.events < 2 * PAR_GRAIN as u64);
         for route_threads in [2, 4, 7] {
             let config = PipelineConfig {
                 route_threads,
                 ..reference_config.clone()
             };
-            let mut pipeline = Pipeline::new(limited_background(64, 40_000, 17), config);
+            let mut pipeline = Pipeline::new(limited_background(64, total, 17), config);
             assert_eq!(pipeline.route_threads(), route_threads);
             let mut produced = Vec::new();
             while let Some(report) = pipeline.next_window() {
@@ -651,7 +664,7 @@ mod tests {
                 route_threads,
                 ..reference_config.clone()
             };
-            let mut pipeline = Pipeline::new(limited_background(64, 40_000, 17), config);
+            let mut pipeline = Pipeline::new(limited_background(64, total, 17), config);
             let produced = pipeline.run(usize::MAX);
             for (got, want) in produced.iter().zip(&expected) {
                 assert_eq!(got.matrix, want.matrix, "threads={route_threads}");

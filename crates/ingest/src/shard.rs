@@ -5,7 +5,7 @@
 //! the merge exact and cheap:
 //!
 //! 1. every row's entries live in exactly one shard, so shards can coalesce
-//!    (sort + sum duplicates) independently and in parallel;
+//!    (sort + sum duplicates) independently, on any thread;
 //! 2. the coalesced blocks have pairwise-disjoint row sets, so
 //!    [`CsrMatrix::from_row_disjoint_blocks`] stitches them into a CSR matrix
 //!    with a counting pass instead of a global sort.
@@ -20,6 +20,15 @@
 //! shard owns a row, and coalescing sorts before summing. The property tests
 //! in `tests/proptest_shard.rs` exercise exactly these statements over
 //! arbitrary streams, shard counts and routing thread counts.
+//!
+//! **One grain rule for threads.** Routing and merging fan out over the
+//! rayon shim only when every worker gets at least [`PAR_GRAIN`] items: a
+//! `route_batch` call under `2 * PAR_GRAIN` events and a merge under
+//! `2 * PAR_GRAIN` pending entries run inline on the calling thread, because
+//! below that the thread spawns and joins cost more than the work they
+//! split. A strict-mode pipeline never routes more than one pulled batch per
+//! call, so with the default 8,192-event batch it always routes inline; its
+//! merge fans out only for windows of `2 * PAR_GRAIN` events or more.
 //!
 //! **Rotation-scratch recycling.** Merging at window rotation used to be the
 //! allocation hot spot of the whole pipeline: fresh shard `Vec`s, fresh
@@ -184,8 +193,22 @@ pub struct MergeTotals {
 const MAX_POOLED_CSR: usize = 4;
 /// Routing buffers kept for reuse across batches.
 const MAX_SPARE_BUFFERS: usize = 32;
-/// Minimum events per routing worker before fan-out beats routing serially.
-const ROUTE_GRAIN: usize = 4096;
+/// Work per thread below which fanning out costs more than it saves: events
+/// per routing worker in [`ShardedAccumulator::route_batch`], pending entries
+/// per shard worker in [`ShardedAccumulator::merge`]. Both run inline on the
+/// calling thread below `2 * PAR_GRAIN` items, since each fan-out pays for
+/// fresh scoped threads plus their joins.
+///
+/// Crossover, measured on an otherwise idle 2-vCPU x86-64 VM (one warm
+/// 1024-node `Mixed` window over 2 shards, inline vs fanned out, medians of
+/// three interleaved runs): merge 110–170 vs 220–290 µs at 9.1k entries,
+/// 550–780 vs 650–850 µs at 40k, a tie at 100k (1.7–2.0 vs 1.5–2.2 ms);
+/// routing over 2 threads 25–36 vs 117–146 µs at 9.1k events, 116–171 vs
+/// 224–270 µs at 40k, 370–420 vs 390–700 µs at 100k. When serve and
+/// student threads share the cores, fan-out loses further. A 100 ms
+/// `Mixed` pipeline window (~9.1k events) stays inline with a ~14× margin;
+/// one-shot million-event merges still fan out.
+pub const PAR_GRAIN: usize = 1 << 16;
 /// Below one entry per node, bucket-accumulate still pays off when entries
 /// outnumber distinct cells by at least this factor (observed on the
 /// *previous* window): duplicates collapse in the dense pass for free.
@@ -328,22 +351,23 @@ impl ShardedAccumulator {
 
     /// Route a batch of events across up to `threads` workers.
     ///
-    /// The batch is split into contiguous chunks; each worker routes its
-    /// chunk into a thread-local [`RouteBuffer`] (pooled, so steady-state
+    /// Batches under `2 *` [`PAR_GRAIN`] events, and any batch with
+    /// `threads <= 1`, are routed inline by
+    /// [`ShardedAccumulator::ingest_batch`]. Larger batches are split into
+    /// contiguous chunks of at least [`PAR_GRAIN`] events; each worker routes
+    /// its chunk into a thread-local [`RouteBuffer`] (pooled, so steady-state
     /// routing allocates nothing), and the filled buffers are handed to the
-    /// owning shards at the next merge. Small batches and `threads <= 1`
-    /// fall back to [`ShardedAccumulator::ingest_batch`] — fan-out below
-    /// [`ROUTE_GRAIN`] events per worker costs more than it saves.
+    /// owning shards at the next merge.
     ///
     /// Cell-for-cell equal to serial routing for any thread count: chunking
     /// only permutes the order a shard's entries arrive in, and the merge
     /// sorts before summing.
     pub fn route_batch(&mut self, events: &[PacketEvent], threads: usize) {
-        if threads <= 1 || events.len() < ROUTE_GRAIN * 2 {
+        if threads <= 1 || events.len() < PAR_GRAIN * 2 {
             self.ingest_batch(events);
             return;
         }
-        let workers = threads.min(events.len().div_ceil(ROUTE_GRAIN));
+        let workers = threads.min(events.len().div_ceil(PAR_GRAIN));
         let chunk_len = events.len().div_ceil(workers);
         let shard_count = self.shards.len();
         let mut jobs: Vec<(RouteBuffer, &[PacketEvent])> = Vec::with_capacity(workers);
@@ -394,9 +418,12 @@ impl ShardedAccumulator {
         }
     }
 
-    /// Coalesce every shard (in parallel, over the rayon shim) and merge the
-    /// row-disjoint blocks into one CSR matrix, resetting the accumulator for
-    /// the next window.
+    /// Coalesce every shard and merge the row-disjoint blocks into one CSR
+    /// matrix, resetting the accumulator for the next window.
+    ///
+    /// Shards coalesce in a plain loop on the calling thread while the
+    /// pending entries total under `2 *` [`PAR_GRAIN`], and in parallel over
+    /// the rayon shim above that.
     ///
     /// Everything the merge needs — shard storage, coalesce outputs, dense
     /// accumulate arrays, CSR arrays — comes from [`MergeScratch`] once the
@@ -421,19 +448,24 @@ impl ShardedAccumulator {
         self.scratch.blocks.resize_with(shard_count, Vec::new);
         let node_count = self.node_count;
         let adaptive = self.adaptive;
-        {
-            let MergeScratch {
-                per_shard, blocks, ..
-            } = &mut self.scratch;
-            let jobs: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(per_shard.iter_mut())
-                .zip(blocks.iter_mut())
-                .enumerate()
-                .map(|(index, ((shard, sc), block))| (index, shard, sc, block))
-                // tw-analyze: allow(hot-path-no-alloc, "the rayon bridge needs an owned job list; entries are mutable borrows, not copies")
-                .collect();
+        let entries: usize = self.shards.iter().map(Vec::len).sum();
+        let MergeScratch {
+            per_shard, blocks, ..
+        } = &mut self.scratch;
+        let jobs = self
+            .shards
+            .iter_mut()
+            .zip(per_shard.iter_mut())
+            .zip(blocks.iter_mut())
+            .enumerate()
+            .map(|(index, ((shard, sc), block))| (index, shard, sc, block));
+        if entries < PAR_GRAIN * 2 {
+            for (index, shard, sc, block) in jobs {
+                coalesce_shard_into(shard, sc, block, node_count, adaptive, index, shard_count);
+            }
+        } else {
+            // tw-analyze: allow(hot-path-no-alloc, "the rayon bridge needs an owned job list; entries are mutable borrows, not copies")
+            let jobs: Vec<_> = jobs.collect();
             jobs.into_par_iter().for_each(|(index, shard, sc, block)| {
                 coalesce_shard_into(shard, sc, block, node_count, adaptive, index, shard_count);
             });
@@ -789,24 +821,37 @@ mod tests {
 
     #[test]
     fn route_batch_matches_serial_for_any_thread_count() {
-        let events = synthetic_events(96, 30_000, 5);
-        let reference = window_matrix(96, &events);
-        for threads in [0, 1, 2, 3, 8] {
-            let mut acc = ShardedAccumulator::new(96, 4);
-            acc.route_batch(&events, threads);
-            assert_eq!(acc.events(), 30_000, "threads={threads}");
-            assert_eq!(acc.merge(), reference, "threads={threads}");
+        // Just below, at and past the fan-out threshold: the inline and the
+        // fanned-out branch of both `route_batch` and `merge` must each
+        // equal the serial reference cell for cell.
+        let all = synthetic_events(96, 3 * PAR_GRAIN, 5);
+        for len in [2 * PAR_GRAIN - 1, 2 * PAR_GRAIN, 3 * PAR_GRAIN] {
+            let events = &all[..len];
+            let reference = window_matrix(96, events);
+            for threads in [0, 1, 2, 3, 8] {
+                let mut acc = ShardedAccumulator::new(96, 4);
+                acc.route_batch(events, threads);
+                let fans_out = threads > 1 && len >= 2 * PAR_GRAIN;
+                assert_eq!(
+                    !acc.routed.is_empty(),
+                    fans_out,
+                    "len={len} threads={threads}"
+                );
+                assert_eq!(acc.events(), len as u64, "len={len} threads={threads}");
+                assert_eq!(acc.merge(), reference, "len={len} threads={threads}");
+            }
         }
     }
 
     #[test]
     fn routed_and_ingested_events_mix_in_one_window() {
-        let events = synthetic_events(64, 20_000, 9);
-        let (head, tail) = events.split_at(12_000);
+        let events = synthetic_events(64, 2 * PAR_GRAIN + 8_000, 9);
+        let (head, tail) = events.split_at(2 * PAR_GRAIN);
         let mut acc = ShardedAccumulator::new(64, 3);
         acc.route_batch(head, 4);
+        assert_eq!(acc.routed.len(), 2, "the head fans out to two workers");
         acc.ingest_batch(tail);
-        assert_eq!(acc.events(), 20_000);
+        assert_eq!(acc.events(), events.len() as u64);
         assert_eq!(acc.merge(), window_matrix(64, &events));
     }
 
@@ -905,12 +950,13 @@ mod tests {
 
     #[test]
     fn finish_consumes_and_matches_merge() {
-        let events = synthetic_events(48, 10_000, 11);
+        let events = synthetic_events(48, 2 * PAR_GRAIN, 11);
         let mut reference = ShardedAccumulator::new(48, 4);
         reference.ingest_batch(&events);
         let expected = reference.merge();
         let mut acc = ShardedAccumulator::new(48, 4);
         acc.route_batch(&events, 2);
+        assert_eq!(acc.routed.len(), 2, "the batch fans out to two workers");
         let (matrix, totals) = acc.finish();
         assert_eq!(matrix, expected);
         assert_eq!(totals.scratch_reuse_hits, 0, "single cold merge");

@@ -121,7 +121,7 @@ impl<T: Copy + PartialEq + std::ops::Add<Output = T> + Default> CooMatrix<T> {
     /// Coalesce and return the sorted, duplicate-free entry vector.
     ///
     /// This is the shard-local half of the blocked-COO merge used by the
-    /// ingest pipeline: each shard coalesces independently (in parallel) and
+    /// ingest pipeline: each shard coalesces independently (on any thread) and
     /// the sorted blocks are stitched together with
     /// [`CsrMatrix::from_row_disjoint_blocks`].
     pub fn into_sorted_entries(mut self) -> Vec<(usize, usize, T)> {

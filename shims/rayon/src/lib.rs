@@ -10,12 +10,18 @@
 //! sizes.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
-/// Number of worker threads a parallel `map` will use.
+/// Number of worker threads a parallel `map` will use: the hardware's
+/// `available_parallelism`, read once per process (the query costs a few
+/// syscalls, and real rayon also fixes its pool size at startup).
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Run `f` over every item on a pool of scoped threads, preserving order.
@@ -243,6 +249,20 @@ mod tests {
             .unwrap_or(1);
         assert_eq!(super::current_num_threads(), expected);
         assert!(super::current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn current_num_threads_is_fixed_for_the_process() {
+        // The value is cached on first use, like real rayon's pool size:
+        // every later call, from any thread, returns the same number.
+        let first = super::current_num_threads();
+        for _ in 0..3 {
+            assert_eq!(super::current_num_threads(), first);
+        }
+        let from_other_thread = std::thread::spawn(super::current_num_threads)
+            .join()
+            .expect("probe thread panicked");
+        assert_eq!(from_other_thread, first);
     }
 
     #[test]
