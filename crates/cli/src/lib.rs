@@ -910,7 +910,7 @@ pub struct IngestArgs {
     /// Shard count (0 = auto).
     pub shards: usize,
     /// Routing worker threads per batch (0 = one per hardware thread); batches
-    /// under 131,072 events (`2 * tw_ingest::shard::PAR_GRAIN`) route inline.
+    /// under `2 * tw_ingest::shard::PAR_GRAIN` events route inline.
     pub route_threads: usize,
     /// Batch size (the backpressure bound).
     pub batch: usize,
@@ -1366,7 +1366,7 @@ pub struct ClassroomArgs {
     /// Shard count for live scenarios (0 = auto).
     pub shards: usize,
     /// Routing worker threads per batch (0 = one per hardware thread); batches
-    /// under 131,072 events (`2 * tw_ingest::shard::PAR_GRAIN`) route inline.
+    /// under `2 * tw_ingest::shard::PAR_GRAIN` events route inline.
     pub route_threads: usize,
     /// Tumbling-window duration for live scenarios.
     pub window_us: u64,
@@ -1603,7 +1603,7 @@ pub struct ServeArgs {
     /// Shard count for live scenarios (0 = auto).
     pub shards: usize,
     /// Routing worker threads per batch (0 = one per hardware thread); batches
-    /// under 131,072 events (`2 * tw_ingest::shard::PAR_GRAIN`) route inline.
+    /// under `2 * tw_ingest::shard::PAR_GRAIN` events route inline.
     pub route_threads: usize,
     /// Tumbling-window duration for live scenarios.
     pub window_us: u64,

@@ -626,14 +626,15 @@ mod tests {
     fn route_thread_fanout_is_invisible_in_the_reports() {
         // Batches of 2 * PAR_GRAIN events so multi-threaded routing actually
         // engages, and ~150k-event windows (50k events per simulated second)
-        // so the first merge fans out while the shorter last one runs
-        // inline, with a recycling consumer on one side: reports must be
-        // identical either way.
+        // over two shards so, on any host with two or more threads, the
+        // first merge fans out while the shorter last one runs inline, with
+        // a recycling consumer on one side: reports must be identical
+        // either way.
         let total = 4 * PAR_GRAIN;
         let reference_config = PipelineConfig {
             window_us: 3_000_000,
             batch_size: 2 * PAR_GRAIN,
-            shard_count: 4,
+            shard_count: 2,
             route_threads: 1,
             ..PipelineConfig::default()
         };

@@ -22,13 +22,15 @@
 //! arbitrary streams, shard counts and routing thread counts.
 //!
 //! **One grain rule for threads.** Routing and merging fan out over the
-//! rayon shim only when every worker gets at least [`PAR_GRAIN`] items: a
-//! `route_batch` call under `2 * PAR_GRAIN` events and a merge under
-//! `2 * PAR_GRAIN` pending entries run inline on the calling thread, because
-//! below that the thread spawns and joins cost more than the work they
-//! split. A strict-mode pipeline never routes more than one pulled batch per
-//! call, so with the default 8,192-event batch it always routes inline; its
-//! merge fans out only for windows of `2 * PAR_GRAIN` events or more.
+//! rayon shim only when at least two workers each get about [`PAR_GRAIN`]
+//! items; otherwise they run inline on the calling thread, because below
+//! that the thread spawns and joins cost more than the work they split.
+//! `route_batch` fans out from `2 * PAR_GRAIN` events and uses at most one
+//! worker per `PAR_GRAIN` events. A merge runs one worker per shard up to
+//! the hardware thread count, so it fans out from that many times
+//! `PAR_GRAIN` pending entries (`2 * PAR_GRAIN` with two shards or two
+//! threads). A strict-mode pipeline never routes more than one pulled batch
+//! per call, so with the default 8,192-event batch it always routes inline.
 //!
 //! **Rotation-scratch recycling.** Merging at window rotation used to be the
 //! allocation hot spot of the whole pipeline: fresh shard `Vec`s, fresh
@@ -195,19 +197,26 @@ const MAX_POOLED_CSR: usize = 4;
 const MAX_SPARE_BUFFERS: usize = 32;
 /// Work per thread below which fanning out costs more than it saves: events
 /// per routing worker in [`ShardedAccumulator::route_batch`], pending entries
-/// per shard worker in [`ShardedAccumulator::merge`]. Both run inline on the
-/// calling thread below `2 * PAR_GRAIN` items, since each fan-out pays for
-/// fresh scoped threads plus their joins.
+/// per shard worker in [`ShardedAccumulator::merge`]. Each fan-out pays for
+/// fresh scoped threads plus their joins, so both run inline on the calling
+/// thread unless at least two workers each get this much.
 ///
-/// Crossover, measured on an otherwise idle 2-vCPU x86-64 VM (one warm
-/// 1024-node `Mixed` window over 2 shards, inline vs fanned out, medians of
-/// three interleaved runs): merge 110–170 vs 220–290 µs at 9.1k entries,
-/// 550–780 vs 650–850 µs at 40k, a tie at 100k (1.7–2.0 vs 1.5–2.2 ms);
-/// routing over 2 threads 25–36 vs 117–146 µs at 9.1k events, 116–171 vs
-/// 224–270 µs at 40k, 370–420 vs 390–700 µs at 100k. When serve and
-/// student threads share the cores, fan-out loses further. A 100 ms
-/// `Mixed` pipeline window (~9.1k events) stays inline with a ~14× margin;
-/// one-shot million-event merges still fan out.
+/// Crossover, measured on a 2-vCPU x86-64 VM (one warm 1024-node `Mixed`
+/// window over 2 shards, inline vs fanned out, medians of three interleaved
+/// runs): merge 110–170 vs 220–290 µs at 9.1k entries, 550–780 vs 650–850
+/// µs at 40k, a tie at 100k (1.7–2.0 vs 1.5–2.2 ms); routing over 2 threads
+/// 25–36 vs 117–146 µs at 9.1k events, 116–171 vs 224–270 µs at 40k,
+/// 370–420 vs 390–700 µs at 100k. When serve and student threads share the
+/// cores, fan-out loses further. A 100 ms `Mixed` pipeline window (~9.1k
+/// events) stays inline with a ~14× margin.
+///
+/// Above the grain the fan-out merge wins only when the second vCPU is
+/// really free. On the same VM (15–31 interleaved rounds of `Mixed` merges
+/// of 150k–1M entries over 2–16 shards, medians), one session had fan-out
+/// winning at every size (1M, warm: 13–17 vs 17–24 ms); in five later
+/// sessions, with the host's other tenants busy, inline won or tied (1M,
+/// warm: 22–36 vs 21–31 ms). The fan-out branch is kept for hosts with idle
+/// cores.
 pub const PAR_GRAIN: usize = 1 << 16;
 /// Below one entry per node, bucket-accumulate still pays off when entries
 /// outnumber distinct cells by at least this factor (observed on the
@@ -354,7 +363,8 @@ impl ShardedAccumulator {
     /// Batches under `2 *` [`PAR_GRAIN`] events, and any batch with
     /// `threads <= 1`, are routed inline by
     /// [`ShardedAccumulator::ingest_batch`]. Larger batches are split into
-    /// contiguous chunks of at least [`PAR_GRAIN`] events; each worker routes
+    /// near-equal contiguous chunks, at most one per [`PAR_GRAIN`] events
+    /// and at most `threads` of them; each worker routes
     /// its chunk into a thread-local [`RouteBuffer`] (pooled, so steady-state
     /// routing allocates nothing), and the filled buffers are handed to the
     /// owning shards at the next merge.
@@ -363,11 +373,11 @@ impl ShardedAccumulator {
     /// only permutes the order a shard's entries arrive in, and the merge
     /// sorts before summing.
     pub fn route_batch(&mut self, events: &[PacketEvent], threads: usize) {
-        if threads <= 1 || events.len() < PAR_GRAIN * 2 {
+        let workers = threads.min(events.len() / PAR_GRAIN);
+        if workers < 2 {
             self.ingest_batch(events);
             return;
         }
-        let workers = threads.min(events.len().div_ceil(PAR_GRAIN));
         let chunk_len = events.len().div_ceil(workers);
         let shard_count = self.shards.len();
         let mut jobs: Vec<(RouteBuffer, &[PacketEvent])> = Vec::with_capacity(workers);
@@ -421,9 +431,10 @@ impl ShardedAccumulator {
     /// Coalesce every shard and merge the row-disjoint blocks into one CSR
     /// matrix, resetting the accumulator for the next window.
     ///
-    /// Shards coalesce in a plain loop on the calling thread while the
-    /// pending entries total under `2 *` [`PAR_GRAIN`], and in parallel over
-    /// the rayon shim above that.
+    /// Shards coalesce in parallel over the rayon shim, one worker per shard
+    /// up to the hardware thread count, only when every worker gets at least
+    /// [`PAR_GRAIN`] pending entries on average; otherwise they coalesce in a
+    /// plain loop on the calling thread.
     ///
     /// Everything the merge needs — shard storage, coalesce outputs, dense
     /// accumulate arrays, CSR arrays — comes from [`MergeScratch`] once the
@@ -449,6 +460,7 @@ impl ShardedAccumulator {
         let node_count = self.node_count;
         let adaptive = self.adaptive;
         let entries: usize = self.shards.iter().map(Vec::len).sum();
+        let fan_out = merge_fans_out(entries, shard_count);
         let MergeScratch {
             per_shard, blocks, ..
         } = &mut self.scratch;
@@ -459,7 +471,7 @@ impl ShardedAccumulator {
             .zip(blocks.iter_mut())
             .enumerate()
             .map(|(index, ((shard, sc), block))| (index, shard, sc, block));
-        if entries < PAR_GRAIN * 2 {
+        if !fan_out {
             for (index, shard, sc, block) in jobs {
                 coalesce_shard_into(shard, sc, block, node_count, adaptive, index, shard_count);
             }
@@ -526,6 +538,14 @@ impl ShardedAccumulator {
             *shard = Vec::new();
         }
     }
+}
+
+/// Whether a merge of `entries` pending entries over `shard_count` shards
+/// fans out: the shim runs one worker per shard up to the hardware thread
+/// count, and each needs at least [`PAR_GRAIN`] entries to pay for itself.
+fn merge_fans_out(entries: usize, shard_count: usize) -> bool {
+    let workers = shard_count.min(rayon::current_num_threads());
+    workers >= 2 && entries >= workers * PAR_GRAIN
 }
 
 /// Coalesce one shard in place into `block`, leaving the shard cleared (with
@@ -821,26 +841,56 @@ mod tests {
 
     #[test]
     fn route_batch_matches_serial_for_any_thread_count() {
-        // Just below, at and past the fan-out threshold: the inline and the
-        // fanned-out branch of both `route_batch` and `merge` must each
-        // equal the serial reference cell for cell.
-        let all = synthetic_events(96, 3 * PAR_GRAIN, 5);
-        for len in [2 * PAR_GRAIN - 1, 2 * PAR_GRAIN, 3 * PAR_GRAIN] {
+        // Just below and at the fan-out threshold, with an uneven last chunk,
+        // and at 8 * PAR_GRAIN where eight threads really run eight workers:
+        // the inline and the fanned-out branch of both `route_batch` and
+        // `merge` must each equal the serial reference cell for cell.
+        let all = synthetic_events(96, 8 * PAR_GRAIN, 5);
+        for len in [
+            2 * PAR_GRAIN - 1,
+            2 * PAR_GRAIN,
+            3 * PAR_GRAIN + 1,
+            8 * PAR_GRAIN,
+        ] {
             let events = &all[..len];
             let reference = window_matrix(96, events);
             for threads in [0, 1, 2, 3, 8] {
                 let mut acc = ShardedAccumulator::new(96, 4);
                 acc.route_batch(events, threads);
-                let fans_out = threads > 1 && len >= 2 * PAR_GRAIN;
-                assert_eq!(
-                    !acc.routed.is_empty(),
-                    fans_out,
-                    "len={len} threads={threads}"
-                );
+                let workers = if threads > 1 && len >= 2 * PAR_GRAIN {
+                    threads.min(len / PAR_GRAIN)
+                } else {
+                    0
+                };
+                assert_eq!(acc.routed.len(), workers, "len={len} threads={threads}");
                 assert_eq!(acc.events(), len as u64, "len={len} threads={threads}");
                 assert_eq!(acc.merge(), reference, "len={len} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn merge_matches_serial_on_both_sides_of_the_grain() {
+        // Two shards give two merge workers on any host with two or more
+        // hardware threads, so the merge fans out from exactly
+        // 2 * PAR_GRAIN pending entries; both branches equal the reference.
+        let all = synthetic_events(80, 2 * PAR_GRAIN, 17);
+        let parallel = rayon::current_num_threads() >= 2;
+        for len in [2 * PAR_GRAIN - 1, 2 * PAR_GRAIN] {
+            let events = &all[..len];
+            assert_eq!(merge_fans_out(len, 2), parallel && len >= 2 * PAR_GRAIN);
+            let mut acc = ShardedAccumulator::new(80, 2);
+            acc.ingest_batch(events);
+            assert_eq!(acc.merge(), window_matrix(80, events), "len={len}");
+        }
+        // With more shards than threads the threshold scales with the
+        // workers the shim actually runs.
+        let workers = 16.min(rayon::current_num_threads());
+        if workers >= 2 {
+            assert!(!merge_fans_out(workers * PAR_GRAIN - 1, 16));
+            assert!(merge_fans_out(workers * PAR_GRAIN, 16));
+        }
+        assert!(!merge_fans_out(usize::MAX, 1), "one shard never fans out");
     }
 
     #[test]

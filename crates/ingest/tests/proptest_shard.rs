@@ -59,6 +59,36 @@ proptest! {
         }
     }
 
+    /// The parallel routing pass is a pure permutation of per-shard arrival
+    /// order, so for ANY (events × shards × threads) geometry the window it
+    /// produces equals the serial reference cell-for-cell. Streams are tiled
+    /// to between `2 * PAR_GRAIN` events, the smallest batch that fans out,
+    /// and `5 * PAR_GRAIN`, so routing runs up to four workers with uneven
+    /// last chunks whenever `threads > 1`, and merges over two or more
+    /// shards take their parallel branch on a host with two threads
+    /// (smaller batches and merges run inline by design).
+    #[test]
+    fn parallel_route_batch_equals_serial_for_any_geometry(
+        seed_events in arb_events(48),
+        extra in 0usize..3 * PAR_GRAIN,
+        shard_count in 1usize..=12,
+        threads in 0usize..=9,
+    ) {
+        let events: Vec<PacketEvent> = seed_events
+            .iter()
+            .cycle()
+            .take(if seed_events.is_empty() { 0 } else { 2 * PAR_GRAIN + extra })
+            .copied()
+            .collect();
+        let mut acc = ShardedAccumulator::new(48, shard_count);
+        acc.route_batch(&events, threads);
+        let routed = acc.merge();
+        let serial = window_matrix(48, &events);
+        prop_assert_eq!(&routed, &serial);
+        let total: u64 = events.iter().map(|e| u64::from(e.packets)).sum();
+        prop_assert_eq!(reduce_all(&PlusTimes, &routed), total);
+    }
+
     /// Recycled rotation scratch must never leak state between windows: a
     /// warm accumulator replaying the same stream window after window keeps
     /// producing the identical matrix a cold accumulator would.
@@ -92,39 +122,5 @@ proptest! {
         split_acc.ingest_batch(&events[..split]);
         split_acc.ingest_batch(&events[split..]);
         prop_assert_eq!(one_shot.merge(), split_acc.merge());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The parallel routing pass is a pure permutation of per-shard arrival
-    /// order, so for ANY (events × shards × threads) geometry the window it
-    /// produces equals the serial reference cell-for-cell. Streams are tiled
-    /// to `2 * PAR_GRAIN` events, the smallest batch that fans out, so the
-    /// chunked multi-buffer routing path runs whenever `threads > 1` and
-    /// every merge takes its parallel branch (smaller batches and merges run
-    /// inline by design).
-    /// Each case routes and merges 131k events, so this property runs
-    /// fewer cases than the small-stream ones above.
-    #[test]
-    fn parallel_route_batch_equals_serial_for_any_geometry(
-        seed_events in arb_events(48),
-        shard_count in 1usize..=12,
-        threads in 0usize..=9,
-    ) {
-        let events: Vec<PacketEvent> = seed_events
-            .iter()
-            .cycle()
-            .take(if seed_events.is_empty() { 0 } else { 2 * PAR_GRAIN })
-            .copied()
-            .collect();
-        let mut acc = ShardedAccumulator::new(48, shard_count);
-        acc.route_batch(&events, threads);
-        let routed = acc.merge();
-        let serial = window_matrix(48, &events);
-        prop_assert_eq!(&routed, &serial);
-        let total: u64 = events.iter().map(|e| u64::from(e.packets)).sum();
-        prop_assert_eq!(reduce_all(&PlusTimes, &routed), total);
     }
 }

@@ -249,20 +249,15 @@ mod tests {
             .unwrap_or(1);
         assert_eq!(super::current_num_threads(), expected);
         assert!(super::current_num_threads() >= 1);
-    }
-
-    #[test]
-    fn current_num_threads_is_fixed_for_the_process() {
         // The value is cached on first use, like real rayon's pool size:
         // every later call, from any thread, returns the same number.
-        let first = super::current_num_threads();
         for _ in 0..3 {
-            assert_eq!(super::current_num_threads(), first);
+            assert_eq!(super::current_num_threads(), expected);
         }
         let from_other_thread = std::thread::spawn(super::current_num_threads)
             .join()
             .expect("probe thread panicked");
-        assert_eq!(from_other_thread, first);
+        assert_eq!(from_other_thread, expected);
     }
 
     #[test]
