@@ -3,101 +3,54 @@
 //! The `traffic-warehouse` command-line tool: the headless delivery vehicle
 //! for the game. Educators use it to validate and preview module files and to
 //! export the built-in library; students (or scripts) can play a bundle from
-//! the terminal.
+//! the terminal, and a class can stream, record, replay and serve traffic
+//! scenarios.
 //!
-//! ```text
-//! traffic-warehouse validate <module.json>
-//! traffic-warehouse render   <module.json> [--three-d] [--colors] [--out out.ppm]
-//! traffic-warehouse play     <bundle.zip>  [--seed N]
-//! traffic-warehouse export-library <directory>
-//! traffic-warehouse obfuscate <module.json>
-//! traffic-warehouse curriculum
-//! traffic-warehouse figures
-//! ```
+//! Every subcommand and flag is one entry in a declarative table that drives
+//! parsing, the argument errors and the usage text. Run
+//! `traffic-warehouse help` for the full list.
 
 use std::fmt::Write as _;
-use tw_core::game::{GameSession, ViewState, WarehouseScene};
+use std::io::Write as _;
+use tw_core::game::{
+    BroadcastSummary, GameSession, TelemetryEvent, TelemetryHub, ViewState, WarehouseScene,
+};
+use tw_core::ingest::{Pipeline, PipelineConfig, Scenario, WindowStream, MAX_DIMENSION};
+use tw_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use tw_core::module::{
     default_curriculum, from_json_maybe_obfuscated, to_obfuscated_json, validate,
 };
 use tw_core::patterns::{patterns_for_figure, Figure};
 use tw_core::prelude::*;
 
-/// A parsed command line.
+/// A parsed command line: one variant per subcommand, carrying its arguments.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Validate a module JSON file.
-    Validate { path: String },
+    /// Validate the module JSON file at this path.
+    Validate(String),
     /// Render a module to ASCII (and optionally a PPM file).
-    Render {
-        path: String,
-        three_d: bool,
-        colors: bool,
-        out: Option<String>,
-    },
+    Render(RenderArgs),
     /// Auto-play a bundle and print the transcript.
-    Play { path: String, seed: u64 },
-    /// Write the initial library's ZIP bundles into a directory.
-    ExportLibrary { directory: String },
-    /// Re-emit a module with its correct answer obfuscated.
-    Obfuscate { path: String },
+    Play(PlayArgs),
+    /// Write the initial library's ZIP bundles into this directory.
+    ExportLibrary(String),
+    /// Re-emit the module at this path with its correct answer obfuscated.
+    Obfuscate(String),
     /// Run a named ingest scenario and print per-window statistics,
     /// optionally recording the window stream to a replayable ZIP.
-    Ingest {
-        scenario: String,
-        windows: usize,
-        nodes: u32,
-        seed: u64,
-        shards: usize,
-        route_threads: usize,
-        batch: usize,
-        window_us: u64,
-        horizon_us: u64,
-        skew_us: u64,
-        record: Option<String>,
-        keyframe_every: u64,
-        json: bool,
-        metrics_json: Option<String>,
-        stats_every: u64,
-    },
+    Ingest(IngestArgs),
     /// Replay a recorded window stream into the live warehouse view.
-    Replay { path: String, speed: u64 },
+    Replay(ReplayArgs),
     /// Serve one scenario (live or replayed) to remote `connect` clients
     /// over TCP, framing the v2 window codec.
     Serve(ServeArgs),
     /// Join a `serve` session and follow its window stream.
-    Connect {
-        addr: String,
-        windows: Option<usize>,
-        stats: bool,
-    },
+    Connect(ConnectArgs),
     /// Serve one scenario (live or replayed) to a classroom of student
     /// sessions over the broadcast hub.
-    Classroom {
-        scenario: Option<String>,
-        replay: Option<String>,
-        students: usize,
-        windows: Option<usize>,
-        nodes: u32,
-        seed: u64,
-        shards: usize,
-        route_threads: usize,
-        window_us: u64,
-        horizon_us: u64,
-        skew_us: u64,
-        speed: u64,
-        late: Option<usize>,
-        metrics_json: Option<String>,
-        stats_every: u64,
-    },
+    Classroom(ClassroomArgs),
     /// Run the workspace static-analysis pass (tw-analyze).
-    Analyze {
-        root: Option<String>,
-        rule: Option<String>,
-        json: Option<String>,
-        deny_warnings: bool,
-        list_waivers: bool,
-    },
+    Analyze(AnalyzeArgs),
     /// List the ingest scenario catalog.
     Scenarios,
     /// Print the default curriculum with prerequisites.
@@ -120,744 +73,456 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// The usage text.
-pub const USAGE: &str = "traffic-warehouse <command>
+/// One command-line flag: the only place its spelling, value, default,
+/// lower bound and help text are written.
+struct Flag {
+    /// Spellings with their dashes, `|`-separated (`--three-d|--3d`).
+    name: &'static str,
+    /// Value placeholder: `N` for a number, empty for a switch.
+    value: &'static str,
+    /// The value an absent flag takes; empty for none.
+    default: &'static str,
+    /// The least number the command line may give (0 = any).
+    min: u64,
+    help: &'static str,
+}
 
-Commands:
-  validate <module.json>                      check a learning module against the authoring guidance
-  render <module.json> [--three-d] [--colors] [--out file.ppm]
-                                              preview a module (ASCII to stdout, optional PPM)
-  play <bundle.zip> [--seed N]                auto-play a module bundle and print the transcript
-  export-library <directory>                  write the built-in module bundles as .zip files
-  obfuscate <module.json>                     re-emit the module with its answer obfuscated
-  ingest --scenario <name> [--windows N] [--nodes N] [--seed N] [--shards N] [--route-threads N] [--batch N] [--window-us N] [--skew-us N] [--horizon-us N] [--record file.zip] [--keyframe-every N] [--json] [--metrics-json file.json] [--stats-every N]
-                                              stream a scenario through the sharded ingest
-                                              pipeline and print per-window stats
-                                              (scenarios: background, ddos, scan,
-                                              flash-crowd, p2p, mixed); --skew-us drifts
-                                              the per-source clocks (out-of-order stream)
-                                              and --horizon-us sets the watermark
-                                              reordering horizon that absorbs it;
-                                              --route-threads caps the routing
-                                              workers per batch (0 = one per
-                                              hardware thread), used only for
-                                              batches of 131072+ events (so
-                                              not at the default --batch);
-                                              --record also captures the window stream
-                                              as a replayable ZIP (--keyframe-every N
-                                              stores every N-th window in full and the
-                                              rest as sparse v3 deltas where smaller
-                                              than in full — smaller archives for
-                                              steady traffic); --json
-                                              emits one
-                                              tw-json object per window instead of the
-                                              human transcript; --metrics-json writes
-                                              the final pipeline metrics snapshot,
-                                              --stats-every N prints a one-line stats
-                                              summary every N windows
-  replay <file.zip> [--speed N]               re-emit a recorded window stream into the live
-                                              warehouse view without regenerating any events,
-                                              streamed incrementally from disk (--speed N
-                                              paces playback at N x real time; default is as
-                                              fast as possible)
-  classroom --scenario <name> [--students N] [--windows N] [--nodes N] [--seed N] [--shards N]
-            [--route-threads N] [--window-us N] [--skew-us N] [--horizon-us N] [--replay file.zip] [--speed N] [--late N]
-            [--metrics-json file.json] [--stats-every N]
-                                              fan one window stream (live scenario, or a
-                                              recording with --replay) out to N student
-                                              sessions over the broadcast hub and print
-                                              per-student summaries; --late students join
-                                              mid-scenario and catch up from the ring;
-                                              --metrics-json / --stats-every export the
-                                              pipeline+broadcast metrics
-  serve --listen <addr> --scenario <name> [--students N] [--windows N] [--nodes N] [--seed N]
-        [--shards N] [--route-threads N] [--window-us N] [--skew-us N] [--horizon-us N] [--replay file.zip] [--speed N]
-        [--keyframe-every N] [--metrics-json file.json] [--stats-every N]
-                                              serve one window stream (live scenario, or a
-                                              recording with --replay) to remote connect
-                                              clients as length-prefixed, CRC-checked
-                                              frames carrying the v2 window codec;
-                                              --students holds the first window until that
-                                              many clients have joined, and a slow reader
-                                              drops frames (with accounting) instead of
-                                              stalling the class; port 0 picks a free port
-                                              (printed on the eager `listening on` line);
-                                              --keyframe-every N serves every N-th
-                                              window in full and the rest as sparse v3
-                                              delta frames where smaller than in full
-                                              (late joiners anchor on a key frame from
-                                              the catch-up ring);
-                                              --metrics-json writes the final snapshot,
-                                              --stats-every N also streams Stats frames
-                                              to every client every N windows
-                                              (readable with connect --stats)
-  connect <addr> [--windows N] [--stats]      join a serve session: follow the remote
-                                              window stream into a live warehouse view and
-                                              print the server's close accounting;
-                                              --stats prints the server's live metrics
-                                              snapshots as they arrive (the server must
-                                              serve with --stats-every)
-  analyze [--root <dir>] [--rule <name>] [--json <file.json>] [--deny-warnings] [--list-waivers]
-                                              run the workspace static-analysis pass
-                                              (lexer + rule engine over the crates'
-                                              own source); --rule runs one rule,
-                                              --json also writes the machine-readable
-                                              report, --deny-warnings fails when any
-                                              unwaived finding remains, and
-                                              --list-waivers prints every active
-                                              inline waiver with its justification
-  scenarios                                   list the ingest scenario catalog
-  curriculum                                  print the default hierarchical curriculum
-  figures                                     print every figure's traffic pattern
-  help                                        show this message
-";
+const fn num(name: &'static str, default: &'static str, min: u64) -> Flag {
+    Flag {
+        name,
+        value: "N",
+        default,
+        min,
+        help: "",
+    }
+}
+
+const fn text(name: &'static str, value: &'static str) -> Flag {
+    Flag {
+        value,
+        ..num(name, "", 0)
+    }
+}
+
+impl Flag {
+    const fn help(self, help: &'static str) -> Flag {
+        Flag { help, ..self }
+    }
+}
+
+/// The live source ([`LiveArgs`]) that `ingest`, `classroom` and `serve`
+/// share; `--nodes` is listed per command because its default differs.
+const LIVE: Group = &[
+    text("--scenario", "NAME").help("scenario to stream (list them with `scenarios`)"),
+    num("--seed", "7", 0).help("scenario seed"),
+    num("--shards", "0", 0).help("shard count, at most --nodes (0 = auto)"),
+    num("--route-threads", "0", 0)
+        .help("routing workers per batch, 0 = per hardware thread; fans out from 131072 events"),
+    num("--window-us", "100000", 0).help("tumbling-window length in simulated us"),
+    num("--skew-us", "0", 0).help("drift per-source clocks by up to N us (out-of-order stream)"),
+    num("--horizon-us", "0", 0).help("watermark reordering horizon that absorbs the skew"),
+];
+
+/// The rest of the source for `classroom` and `serve`.
+const CLASS: Group = &[
+    num("--nodes", "256", 0).help("address-space size of a live scenario"),
+    text("--replay", "FILE").help("stream a recording instead of --scenario"),
+];
+
+const SPEED: Flag =
+    num("--speed", "", 1).help("pace at N x real time (default: as fast as possible)");
+
+/// How much of the stream to serve, and how fast.
+const PACING: Group = &[
+    num("--windows", "", 1).help("windows to serve (default: 8 live, the whole recording)"),
+    SPEED,
+];
+
+/// The metrics export that `ingest`, `classroom` and `serve` share.
+const METRICS: Group = &[
+    text("--metrics-json", "FILE").help("write the final metrics snapshot here"),
+    num("--stats-every", "0", 0).help(
+        "print a one-line metrics summary every N windows (serve also sends it to every client)",
+    ),
+];
+
+const INGEST: Group = &[
+    num("--nodes", "1024", 0).help("address-space size"),
+    num("--windows", "4", 1).help("windows to emit"),
+    num("--batch", "8192", 0).help("events per batch (the backpressure bound)"),
+    text("--record", "FILE").help("also capture the window stream as a replayable ZIP"),
+    num("--keyframe-every", "0", 0)
+        .help("with --record: every N-th window in full, the rest as v3 deltas where smaller"),
+    text("--json", "").help("one tw-json object per window instead of the transcript"),
+];
+
+const CLASSROOM: Group = &[
+    num("--students", "8", 1).help("student sessions"),
+    num("--late", "", 0)
+        .help("students who join mid-scenario and catch up from the ring (default: one in five)"),
+];
+
+const SERVE: Group = &[
+    text("--listen", "ADDR").help("address to listen on (required; port 0 picks a free port)"),
+    num("--students", "0", 0).help("hold the first window until N clients have joined"),
+    num("--keyframe-every", "0", 0)
+        .help("every N-th window in full, the rest as v3 delta frames where smaller"),
+];
+
+const RENDER: Group = &[
+    text("--three-d|--3d", "").help("render the 3-D warehouse view"),
+    text("--colors", "").help("tint cells with the module's color plane"),
+    text("--out", "FILE").help("also write the frame as a PPM image"),
+];
+
+const PLAY: Group = &[num("--seed", "0", 0).help("session seed")];
+
+const CONNECT: Group = &[
+    num("--windows", "", 1).help("leave after N windows"),
+    text("--stats", "").help("print the server's Stats frames (it must serve with --stats-every)"),
+];
+
+const ANALYZE: Group = &[
+    text("--root", "DIR").help("workspace root (default: the nearest analyze.toml)"),
+    text("--rule", "NAME").help("run one rule"),
+    text("--json", "FILE").help("also write the machine-readable report"),
+    text("--deny-warnings", "").help("fail when any unwaived finding remains"),
+    text("--list-waivers", "").help("print every active inline waiver and its justification"),
+];
+
+/// Flags that go together, listed once and shared by several commands.
+type Group = &'static [Flag];
+
+/// One subcommand: its spellings, operand, flag groups and summary.
+struct Spec {
+    name: &'static str,
+    /// Placeholder of the one positional argument; empty for none.
+    operand: &'static str,
+    groups: &'static [Group],
+    about: &'static str,
+}
+
+const fn cmd(name: &'static str, operand: &'static str, groups: &'static [Group]) -> Spec {
+    Spec {
+        name,
+        operand,
+        groups,
+        about: "",
+    }
+}
+
+impl Spec {
+    const fn about(self, about: &'static str) -> Spec {
+        Spec { about, ..self }
+    }
+
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.groups.iter().flat_map(|group| group.iter())
+    }
+
+    /// This command's block of the usage text.
+    fn usage(&self) -> String {
+        let head = format!("{} {}", self.name, self.operand);
+        let mut out = format!("  {}\n      {}\n", head.trim_end(), self.about);
+        for flag in self.flags() {
+            let spelling = format!("{} {}", flag.name, flag.value);
+            let _ = write!(out, "      {:<22} {}", spelling.trim_end(), flag.help);
+            let _ = match flag.default {
+                "" => writeln!(out),
+                default => writeln!(out, " (default {default})"),
+            };
+        }
+        out
+    }
+}
+
+/// Every subcommand, in usage order.
+const COMMANDS: &[Spec] = &[
+    cmd("validate", "<module.json>", &[])
+        .about("check a learning module against the authoring guidance"),
+    cmd("render", "<module.json>", &[RENDER])
+        .about("preview a module (ASCII to stdout, optional PPM)"),
+    cmd("play", "<bundle.zip>", &[PLAY])
+        .about("auto-play a module bundle and print the transcript"),
+    cmd("export-library", "<directory>", &[])
+        .about("write the built-in module bundles as .zip files"),
+    cmd("obfuscate", "<module.json>", &[]).about("re-emit the module with its answer obfuscated"),
+    cmd("ingest", "", &[LIVE, INGEST, METRICS])
+        .about("stream a scenario through the sharded ingest pipeline and print per-window stats"),
+    cmd("replay", "<file.zip>", &[&[SPEED]])
+        .about("re-emit a recorded window stream into the live warehouse view, from disk"),
+    cmd("classroom", "", &[LIVE, CLASS, PACING, CLASSROOM, METRICS])
+        .about("fan one window stream out to student sessions over the broadcast hub"),
+    cmd("serve", "", &[SERVE, LIVE, CLASS, PACING, METRICS])
+        .about("serve one window stream to remote `connect` clients over TCP"),
+    cmd("connect", "<addr>", &[CONNECT]).about("join a serve session and follow its window stream"),
+    cmd("analyze", "", &[ANALYZE]).about("run the workspace static-analysis pass"),
+    cmd("scenarios", "", &[]).about("list the ingest scenario catalog"),
+    cmd("curriculum", "", &[]).about("print the default hierarchical curriculum"),
+    cmd("figures", "", &[]).about("print every figure's traffic pattern"),
+    cmd("help|--help|-h", "", &[]).about("show this message"),
+];
+
+/// The usage text, generated from the command table.
+pub fn usage() -> String {
+    let commands: String = COMMANDS.iter().map(Spec::usage).collect();
+    format!("traffic-warehouse <command> [flags]\n\nCommands:\n{commands}")
+}
+
+/// Whether `arg` is one of the `|`-separated spellings in `names`.
+fn spelled(names: &str, arg: &str) -> bool {
+    names.split('|').any(|name| name == arg)
+}
+
+/// The one rule behind every lower bound on a number.
+fn at_least(flag: &str, value: u64, min: u64) -> Result<(), CliError> {
+    if value < min {
+        return Err(CliError(format!("{flag} must be at least {min}")));
+    }
+    Ok(())
+}
+
+/// The one rule behind every upper bound on a number; `why` names the limit.
+fn at_most(flag: &str, value: u64, max: u64, why: &str) -> Result<(), CliError> {
+    if value > max {
+        return Err(CliError(format!("{flag} must be at most {max}{why}")));
+    }
+    Ok(())
+}
+
+fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
+    value
+        .parse()
+        .map_err(|_| CliError(format!("{flag} value {value:?} is not valid")))
+}
+
+/// A command line read against its [`Spec`]: the operand and every flag
+/// given, each checked for spelling, a present value and numeric bounds.
+struct Parsed<'a> {
+    spec: &'static Spec,
+    operand: String,
+    given: Vec<(&'static Flag, &'a str)>,
+}
+
+impl<'a> Parsed<'a> {
+    fn new(command: &str, args: &'a [String]) -> Result<Self, CliError> {
+        let unknown = format!("unknown command {command:?}; run `traffic-warehouse help`");
+        let spec = COMMANDS.iter().find(|spec| spelled(spec.name, command));
+        let spec = spec.ok_or(CliError(unknown))?;
+        let mut args = args.iter();
+        let mut operand = String::new();
+        if !spec.operand.is_empty() {
+            let missing = || CliError(format!("{} needs {}", spec.name, spec.operand));
+            operand.clone_from(args.next().ok_or_else(missing)?);
+        }
+        let mut given = Vec::new();
+        while let Some(arg) = args.next() {
+            let flag = spec.flags().find(|flag| spelled(flag.name, arg));
+            let flag =
+                flag.ok_or_else(|| CliError(format!("unknown flag {arg:?} for {}", spec.name)))?;
+            let mut value = "";
+            if !flag.value.is_empty() {
+                let missing = || CliError(format!("{arg} needs a value ({})", flag.value));
+                value = args.next().ok_or_else(missing)?;
+            }
+            if flag.value == "N" {
+                at_least(arg, parse(arg, value)?, flag.min)?;
+            }
+            given.push((flag, value));
+        }
+        Ok(Parsed {
+            spec,
+            operand,
+            given,
+        })
+    }
+
+    /// The flag's last given value, else its default.
+    fn value(&self, name: &str) -> Option<&str> {
+        let flag = self.spec.flags().find(|flag| spelled(flag.name, name))?;
+        let given = self.given.iter().rev().find(|(f, _)| f.name == flag.name);
+        let default = (!flag.default.is_empty()).then_some(flag.default);
+        given.map(|(_, value)| *value).or(default)
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.value(name).map(|value| parse(name, value)).transpose()
+    }
+
+    /// A value the command cannot do without: given, or a default.
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Result<T, CliError> {
+        let missing = || CliError(format!("{} needs {name}", self.spec.name));
+        self.opt(name)?.ok_or_else(missing)
+    }
+}
 
 /// Parse command-line arguments (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut iter = args.iter();
-    let command = iter.next().map(String::as_str).unwrap_or("help");
-    match command {
-        "validate" => {
-            let path = iter
-                .next()
-                .ok_or(CliError("validate needs a module path".to_string()))?;
-            Ok(Command::Validate { path: path.clone() })
-        }
-        "render" => {
-            let path = iter
-                .next()
-                .ok_or(CliError("render needs a module path".to_string()))?
-                .clone();
-            let mut three_d = false;
-            let mut colors = false;
-            let mut out = None;
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--three-d" | "--3d" => three_d = true,
-                    "--colors" => colors = true,
-                    "--out" => {
-                        out = Some(
-                            iter.next()
-                                .ok_or(CliError("--out needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
-                }
-            }
-            Ok(Command::Render {
-                path,
-                three_d,
-                colors,
-                out,
-            })
-        }
-        "play" => {
-            let path = iter
-                .next()
-                .ok_or(CliError("play needs a bundle path".to_string()))?
-                .clone();
-            let mut seed = 0u64;
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        seed = iter
-                            .next()
-                            .ok_or(CliError("--seed needs a value".to_string()))?
-                            .parse()
-                            .map_err(|_| CliError("--seed must be an integer".to_string()))?
-                    }
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
-                }
-            }
-            Ok(Command::Play { path, seed })
-        }
-        "export-library" => {
-            let directory = iter
-                .next()
-                .ok_or(CliError("export-library needs a directory".to_string()))?;
-            Ok(Command::ExportLibrary {
-                directory: directory.clone(),
-            })
-        }
-        "obfuscate" => {
-            let path = iter
-                .next()
-                .ok_or(CliError("obfuscate needs a module path".to_string()))?;
-            Ok(Command::Obfuscate { path: path.clone() })
-        }
-        "ingest" => {
-            let mut scenario = None;
-            let mut windows = 4usize;
-            let mut nodes = 1024u32;
-            let mut seed = 7u64;
-            let mut shards = 0usize;
-            let mut route_threads = 0usize;
-            let mut batch = 8192usize;
-            let mut window_us = 100_000u64;
-            let mut horizon_us = 0u64;
-            let mut skew_us = 0u64;
-            let mut record = None;
-            let mut keyframe_every = 0u64;
-            let mut json = false;
-            let mut metrics_json = None;
-            let mut stats_every = 0u64;
-            fn value<'a, T: std::str::FromStr>(
-                iter: &mut std::slice::Iter<'a, String>,
-                flag: &str,
-            ) -> Result<T, CliError> {
-                iter.next()
-                    .ok_or(CliError(format!("{flag} needs a value")))?
-                    .parse()
-                    .map_err(|_| CliError(format!("{flag} value is not valid")))
-            }
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--scenario" => {
-                        scenario = Some(
-                            iter.next()
-                                .ok_or(CliError("--scenario needs a name".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--windows" => windows = value(&mut iter, "--windows")?,
-                    "--nodes" => nodes = value(&mut iter, "--nodes")?,
-                    "--seed" => seed = value(&mut iter, "--seed")?,
-                    "--shards" => shards = value(&mut iter, "--shards")?,
-                    "--route-threads" => route_threads = value(&mut iter, "--route-threads")?,
-                    "--batch" => batch = value(&mut iter, "--batch")?,
-                    "--window-us" => window_us = value(&mut iter, "--window-us")?,
-                    "--horizon-us" => horizon_us = value(&mut iter, "--horizon-us")?,
-                    "--skew-us" => skew_us = value(&mut iter, "--skew-us")?,
-                    "--record" => {
-                        record = Some(
-                            iter.next()
-                                .ok_or(CliError("--record needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--keyframe-every" => keyframe_every = value(&mut iter, "--keyframe-every")?,
-                    "--json" => json = true,
-                    "--metrics-json" => {
-                        metrics_json = Some(
-                            iter.next()
-                                .ok_or(CliError("--metrics-json needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--stats-every" => stats_every = value(&mut iter, "--stats-every")?,
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
-                }
-            }
-            let scenario =
-                scenario.ok_or(CliError("ingest needs --scenario <name>".to_string()))?;
-            if windows == 0 {
-                return Err(CliError("--windows must be at least 1".to_string()));
-            }
-            if keyframe_every > 0 && record.is_none() {
-                return Err(CliError(
-                    "--keyframe-every shapes the recorded archive; it needs --record".to_string(),
-                ));
-            }
-            Ok(Command::Ingest {
-                scenario,
-                windows,
-                nodes,
-                seed,
-                shards,
-                route_threads,
-                batch,
-                window_us,
-                horizon_us,
-                skew_us,
-                record,
-                keyframe_every,
-                json,
-                metrics_json,
-                stats_every,
-            })
-        }
-        "replay" => {
-            let path = iter
-                .next()
-                .ok_or(CliError("replay needs a recording path".to_string()))?
-                .clone();
-            let mut speed = 0u64;
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--speed" => {
-                        speed = iter
-                            .next()
-                            .ok_or(CliError("--speed needs a value".to_string()))?
-                            .parse()
-                            .map_err(|_| CliError("--speed must be an integer".to_string()))?;
-                        if speed == 0 {
-                            return Err(CliError("--speed must be at least 1".to_string()));
-                        }
-                    }
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
-                }
-            }
-            Ok(Command::Replay { path, speed })
-        }
-        "serve" => {
-            let mut listen = None;
-            let mut scenario = None;
-            let mut replay = None;
-            let mut students = 0usize;
-            let mut windows = None;
-            let mut nodes = 256u32;
-            let mut seed = 7u64;
-            let mut shards = 0usize;
-            let mut route_threads = 0usize;
-            let mut window_us = 100_000u64;
-            let mut horizon_us = 0u64;
-            let mut skew_us = 0u64;
-            let mut speed = 0u64;
-            let mut metrics_json = None;
-            let mut stats_every = 0u64;
-            let mut keyframe_every = 0u64;
-            fn value<T: std::str::FromStr>(
-                iter: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<T, CliError> {
-                iter.next()
-                    .ok_or(CliError(format!("{flag} needs a value")))?
-                    .parse()
-                    .map_err(|_| CliError(format!("{flag} value is not valid")))
-            }
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--listen" => {
-                        listen = Some(
-                            iter.next()
-                                .ok_or(CliError("--listen needs an address".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--route-threads" => route_threads = value(&mut iter, "--route-threads")?,
-                    "--scenario" => {
-                        scenario = Some(
-                            iter.next()
-                                .ok_or(CliError("--scenario needs a name".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--replay" => {
-                        replay = Some(
-                            iter.next()
-                                .ok_or(CliError("--replay needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--students" => students = value(&mut iter, "--students")?,
-                    "--windows" => windows = Some(value(&mut iter, "--windows")?),
-                    "--nodes" => nodes = value(&mut iter, "--nodes")?,
-                    "--seed" => seed = value(&mut iter, "--seed")?,
-                    "--shards" => shards = value(&mut iter, "--shards")?,
-                    "--window-us" => window_us = value(&mut iter, "--window-us")?,
-                    "--horizon-us" => horizon_us = value(&mut iter, "--horizon-us")?,
-                    "--skew-us" => skew_us = value(&mut iter, "--skew-us")?,
-                    "--speed" => {
-                        speed = value(&mut iter, "--speed")?;
-                        if speed == 0 {
-                            return Err(CliError("--speed must be at least 1".to_string()));
-                        }
-                    }
-                    "--keyframe-every" => keyframe_every = value(&mut iter, "--keyframe-every")?,
-                    "--metrics-json" => {
-                        metrics_json = Some(
-                            iter.next()
-                                .ok_or(CliError("--metrics-json needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--stats-every" => stats_every = value(&mut iter, "--stats-every")?,
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
-                }
-            }
-            let listen = listen.ok_or(CliError("serve needs --listen <addr>".to_string()))?;
-            if scenario.is_none() && replay.is_none() {
-                return Err(CliError(
-                    "serve needs --scenario <name> or --replay <file.zip>".to_string(),
-                ));
-            }
-            if scenario.is_some() && replay.is_some() {
-                return Err(CliError(
-                    "--scenario and --replay are mutually exclusive (a recording \
-                     carries its own scenario)"
-                        .to_string(),
-                ));
-            }
-            if replay.is_some() && (horizon_us > 0 || skew_us > 0) {
-                return Err(CliError(
-                    "--skew-us/--horizon-us shape live ingestion; a recording was \
-                     already windowed when it was captured"
-                        .to_string(),
-                ));
-            }
-            if windows == Some(0) {
-                return Err(CliError("--windows must be at least 1".to_string()));
-            }
-            Ok(Command::Serve(ServeArgs {
-                listen,
-                scenario,
-                replay,
-                students,
-                windows,
-                nodes,
-                seed,
-                shards,
-                route_threads,
-                window_us,
-                horizon_us,
-                skew_us,
-                speed,
-                metrics_json,
-                stats_every,
-                keyframe_every,
-            }))
-        }
-        "connect" => {
-            let addr = iter
-                .next()
-                .ok_or(CliError("connect needs a server address".to_string()))?
-                .clone();
-            let mut windows = None;
-            let mut stats = false;
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--windows" => {
-                        let n: usize = iter
-                            .next()
-                            .ok_or(CliError("--windows needs a value".to_string()))?
-                            .parse()
-                            .map_err(|_| CliError("--windows value is not valid".to_string()))?;
-                        if n == 0 {
-                            return Err(CliError("--windows must be at least 1".to_string()));
-                        }
-                        windows = Some(n);
-                    }
-                    "--stats" => stats = true,
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
-                }
-            }
-            Ok(Command::Connect {
-                addr,
-                windows,
-                stats,
-            })
-        }
-        "classroom" => {
-            let mut scenario = None;
-            let mut replay = None;
-            let mut students = 8usize;
-            let mut windows = None;
-            let mut nodes = 256u32;
-            let mut seed = 7u64;
-            let mut shards = 0usize;
-            let mut route_threads = 0usize;
-            let mut window_us = 100_000u64;
-            let mut horizon_us = 0u64;
-            let mut skew_us = 0u64;
-            let mut speed = 0u64;
-            let mut late = None;
-            let mut metrics_json = None;
-            let mut stats_every = 0u64;
-            fn value<T: std::str::FromStr>(
-                iter: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<T, CliError> {
-                iter.next()
-                    .ok_or(CliError(format!("{flag} needs a value")))?
-                    .parse()
-                    .map_err(|_| CliError(format!("{flag} value is not valid")))
-            }
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--scenario" => {
-                        scenario = Some(
-                            iter.next()
-                                .ok_or(CliError("--scenario needs a name".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--replay" => {
-                        replay = Some(
-                            iter.next()
-                                .ok_or(CliError("--replay needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--students" => students = value(&mut iter, "--students")?,
-                    "--windows" => windows = Some(value(&mut iter, "--windows")?),
-                    "--nodes" => nodes = value(&mut iter, "--nodes")?,
-                    "--seed" => seed = value(&mut iter, "--seed")?,
-                    "--shards" => shards = value(&mut iter, "--shards")?,
-                    "--window-us" => window_us = value(&mut iter, "--window-us")?,
-                    "--horizon-us" => horizon_us = value(&mut iter, "--horizon-us")?,
-                    "--skew-us" => skew_us = value(&mut iter, "--skew-us")?,
-                    "--speed" => {
-                        speed = value(&mut iter, "--speed")?;
-                        if speed == 0 {
-                            return Err(CliError("--speed must be at least 1".to_string()));
-                        }
-                    }
-                    "--late" => late = Some(value(&mut iter, "--late")?),
-                    "--route-threads" => route_threads = value(&mut iter, "--route-threads")?,
-                    "--metrics-json" => {
-                        metrics_json = Some(
-                            iter.next()
-                                .ok_or(CliError("--metrics-json needs a file path".to_string()))?
-                                .clone(),
-                        )
-                    }
-                    "--stats-every" => stats_every = value(&mut iter, "--stats-every")?,
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
-                }
-            }
-            if scenario.is_none() && replay.is_none() {
-                return Err(CliError(
-                    "classroom needs --scenario <name> or --replay <file.zip>".to_string(),
-                ));
-            }
-            if scenario.is_some() && replay.is_some() {
-                return Err(CliError(
-                    "--scenario and --replay are mutually exclusive (a recording \
-                     carries its own scenario)"
-                        .to_string(),
-                ));
-            }
-            if replay.is_some() && (horizon_us > 0 || skew_us > 0) {
-                return Err(CliError(
-                    "--skew-us/--horizon-us shape live ingestion; a recording was \
-                     already windowed when it was captured"
-                        .to_string(),
-                ));
-            }
-            if students == 0 {
-                return Err(CliError("--students must be at least 1".to_string()));
-            }
-            if windows == Some(0) {
-                return Err(CliError("--windows must be at least 1".to_string()));
-            }
-            Ok(Command::Classroom {
-                scenario,
-                replay,
-                students,
-                windows,
-                nodes,
-                seed,
-                shards,
-                route_threads,
-                window_us,
-                horizon_us,
-                skew_us,
-                speed,
-                late,
-                metrics_json,
-                stats_every,
-            })
-        }
-        "analyze" => {
-            let mut root = None;
-            let mut rule = None;
-            let mut json = None;
-            let mut deny_warnings = false;
-            let mut list_waivers = false;
-            while let Some(flag) = iter.next() {
-                match flag.as_str() {
-                    "--root" => {
-                        root = Some(
-                            iter.next()
-                                .ok_or(CliError("--root needs a directory".to_string()))?
-                                .clone(),
-                        );
-                    }
-                    "--rule" => {
-                        rule = Some(
-                            iter.next()
-                                .ok_or(CliError("--rule needs a rule name".to_string()))?
-                                .clone(),
-                        );
-                    }
-                    "--json" => {
-                        json = Some(
-                            iter.next()
-                                .ok_or(CliError("--json needs a file path".to_string()))?
-                                .clone(),
-                        );
-                    }
-                    "--deny-warnings" => deny_warnings = true,
-                    "--list-waivers" => list_waivers = true,
-                    other => return Err(CliError(format!("unknown flag {other:?}"))),
-                }
-            }
-            Ok(Command::Analyze {
-                root,
-                rule,
-                json,
-                deny_warnings,
-                list_waivers,
-            })
-        }
-        "scenarios" => Ok(Command::Scenarios),
-        "curriculum" => Ok(Command::Curriculum),
-        "figures" => Ok(Command::Figures),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(CliError(format!(
-            "unknown command {other:?}; run `traffic-warehouse help`"
-        ))),
+    let Some((name, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    let p = Parsed::new(name, rest)?;
+    let path = p.operand.clone();
+    let command = match p.spec.name {
+        "validate" => Command::Validate(path),
+        "render" => Command::Render(RenderArgs {
+            path,
+            three_d: p.switch("--three-d"),
+            colors: p.switch("--colors"),
+            out: p.opt("--out")?,
+        }),
+        "play" => Command::Play(PlayArgs {
+            path,
+            seed: p.get("--seed")?,
+        }),
+        "export-library" => Command::ExportLibrary(path),
+        "obfuscate" => Command::Obfuscate(path),
+        "ingest" => Command::Ingest(IngestArgs::read(&p)?),
+        "replay" => Command::Replay(ReplayArgs {
+            path,
+            speed: p.opt("--speed")?.unwrap_or(0),
+        }),
+        "serve" => Command::Serve(ServeArgs::read(&p)?),
+        "connect" => Command::Connect(ConnectArgs {
+            addr: path,
+            windows: p.opt("--windows")?,
+            stats: p.switch("--stats"),
+        }),
+        "classroom" => Command::Classroom(ClassroomArgs::read(&p)?),
+        "analyze" => Command::Analyze(AnalyzeArgs {
+            root: p.opt("--root")?,
+            rule: p.opt("--rule")?,
+            json: p.opt("--json")?,
+            deny_warnings: p.switch("--deny-warnings"),
+            list_waivers: p.switch("--list-waivers"),
+        }),
+        "scenarios" => Command::Scenarios,
+        "curriculum" => Command::Curriculum,
+        "figures" => Command::Figures,
+        "help|--help|-h" => Command::Help,
+        other => unreachable!("{other} is in the command table but has no Command"),
+    };
+    match &command {
+        Command::Ingest(args) => args.validate()?,
+        Command::Classroom(args) => args.validate()?,
+        Command::Serve(args) => args.validate()?,
+        _ => {}
     }
+    Ok(command)
 }
 
 /// Run a command, returning the text to print.
 pub fn run(command: &Command) -> Result<String, CliError> {
     match command {
-        Command::Help => Ok(USAGE.to_string()),
-        Command::Validate { path } => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| CliError(format!("{path}: {e}")))?;
-            let module = from_json_maybe_obfuscated(&text).map_err(|e| CliError(e.to_string()))?;
-            Ok(render_validation(&module))
-        }
-        Command::Render {
-            path,
-            three_d,
-            colors,
-            out,
-        } => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| CliError(format!("{path}: {e}")))?;
-            let module = from_json_maybe_obfuscated(&text).map_err(|e| CliError(e.to_string()))?;
-            let (ascii, ppm) = render_module(&module, *three_d, *colors);
-            if let Some(out_path) = out {
+        Command::Help => Ok(usage()),
+        Command::Validate(path) => Ok(render_validation(&load_module(path)?)),
+        Command::Render(args) => {
+            let (ascii, ppm) = render_module(&load_module(&args.path)?, args.three_d, args.colors);
+            if let Some(out_path) = &args.out {
                 std::fs::write(out_path, ppm).map_err(|e| CliError(format!("{out_path}: {e}")))?;
             }
             Ok(ascii)
         }
-        Command::Play { path, seed } => {
+        Command::Play(args) => {
+            let path = &args.path;
             let bytes = std::fs::read(path).map_err(|e| CliError(format!("{path}: {e}")))?;
             let bundle = tw_core::load_bundle(path, &bytes).map_err(|e| CliError(e.to_string()))?;
-            play_bundle(bundle, *seed)
+            play_bundle(bundle, args.seed)
         }
-        Command::ExportLibrary { directory } => {
+        Command::ExportLibrary(directory) => {
             std::fs::create_dir_all(directory)
                 .map_err(|e| CliError(format!("{directory}: {e}")))?;
             let mut out = String::new();
             for (name, bytes) in tw_core::initial_library_zips() {
-                let slug: String = name
-                    .chars()
-                    .map(|c| {
-                        if c.is_ascii_alphanumeric() {
-                            c.to_ascii_lowercase()
-                        } else {
-                            '_'
-                        }
-                    })
-                    .collect();
+                let slug = name
+                    .to_ascii_lowercase()
+                    .replace(|c: char| !c.is_ascii_alphanumeric(), "_");
                 let path = format!("{directory}/{slug}.zip");
                 std::fs::write(&path, &bytes).map_err(|e| CliError(format!("{path}: {e}")))?;
                 let _ = writeln!(out, "wrote {path} ({} bytes)", bytes.len());
             }
             Ok(out)
         }
-        Command::Obfuscate { path } => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| CliError(format!("{path}: {e}")))?;
-            let module = from_json_maybe_obfuscated(&text).map_err(|e| CliError(e.to_string()))?;
-            to_obfuscated_json(&module).map_err(|e| CliError(e.to_string()))
+        Command::Obfuscate(path) => {
+            to_obfuscated_json(&load_module(path)?).map_err(|e| CliError(e.to_string()))
         }
-        Command::Ingest {
-            scenario,
-            windows,
-            nodes,
-            seed,
-            shards,
-            route_threads,
-            batch,
-            window_us,
-            horizon_us,
-            skew_us,
-            record,
-            keyframe_every,
-            json,
-            metrics_json,
-            stats_every,
-        } => run_ingest(&IngestArgs {
-            scenario: scenario.clone(),
-            windows: *windows,
-            nodes: *nodes,
-            seed: *seed,
-            shards: *shards,
-            route_threads: *route_threads,
-            batch: *batch,
-            window_us: *window_us,
-            horizon_us: *horizon_us,
-            skew_us: *skew_us,
-            record: record.clone(),
-            keyframe_every: *keyframe_every,
-            json: *json,
-            metrics_json: metrics_json.clone(),
-            stats_every: *stats_every,
-        }),
-        Command::Replay { path, speed } => run_replay(path, *speed),
+        Command::Ingest(args) => run_ingest(args),
+        Command::Replay(args) => run_replay(&args.path, args.speed),
         Command::Serve(args) => run_serve(args),
-        Command::Connect {
-            addr,
-            windows,
-            stats,
-        } => run_connect(addr, *windows, *stats),
-        Command::Classroom {
-            scenario,
-            replay,
-            students,
-            windows,
-            nodes,
-            seed,
-            shards,
-            route_threads,
-            window_us,
-            horizon_us,
-            skew_us,
-            speed,
-            late,
-            metrics_json,
-            stats_every,
-        } => run_classroom(&ClassroomArgs {
-            scenario: scenario.clone(),
-            replay: replay.clone(),
-            students: *students,
-            windows: *windows,
-            nodes: *nodes,
-            seed: *seed,
-            shards: *shards,
-            route_threads: *route_threads,
-            window_us: *window_us,
-            horizon_us: *horizon_us,
-            skew_us: *skew_us,
-            speed: *speed,
-            late: *late,
-            metrics_json: metrics_json.clone(),
-            stats_every: *stats_every,
-        }),
-        Command::Analyze {
-            root,
-            rule,
-            json,
-            deny_warnings,
-            list_waivers,
-        } => run_analyze(
-            root.as_deref(),
-            rule.clone(),
-            json.as_deref(),
-            *deny_warnings,
-            *list_waivers,
-        ),
+        Command::Connect(args) => run_connect(&args.addr, args.windows, args.stats),
+        Command::Classroom(args) => run_classroom(args),
+        Command::Analyze(args) => run_analyze(args),
         Command::Scenarios => Ok(render_scenarios()),
         Command::Curriculum => Ok(render_curriculum()),
         Command::Figures => Ok(render_figures()),
     }
+}
+
+/// Read a module JSON file (plain or obfuscated).
+fn load_module(path: &str) -> Result<LearningModule, CliError> {
+    let text = std::fs::read_to_string(path).map_err(|e| CliError(format!("{path}: {e}")))?;
+    from_json_maybe_obfuscated(&text).map_err(|e| CliError(e.to_string()))
+}
+
+/// Arguments for `render`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RenderArgs {
+    /// Module JSON file.
+    pub path: String,
+    /// Render the 3-D warehouse view instead of the 2-D grid.
+    pub three_d: bool,
+    /// Tint cells with the module's color plane.
+    pub colors: bool,
+    /// Also write the frame as a PPM image here.
+    pub out: Option<String>,
+}
+
+/// Arguments for `play`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlayArgs {
+    /// Bundle ZIP file.
+    pub path: String,
+    /// Session seed.
+    pub seed: u64,
+}
+
+/// Arguments for `replay` ([`run_replay`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayArgs {
+    /// Recording ZIP file.
+    pub path: String,
+    /// Pace playback at N x real time (0 = as fast as possible).
+    pub speed: u64,
+}
+
+/// Arguments for `connect` ([`run_connect`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConnectArgs {
+    /// Server address.
+    pub addr: String,
+    /// Leave after this many windows (default: follow to the close).
+    pub windows: Option<usize>,
+    /// Print the server's Stats frames as they arrive.
+    pub stats: bool,
+}
+
+/// Arguments for `analyze`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AnalyzeArgs {
+    /// Workspace root (default: the nearest directory with `analyze.toml`).
+    pub root: Option<String>,
+    /// Run only this rule.
+    pub rule: Option<String>,
+    /// Also write the machine-readable report here.
+    pub json: Option<String>,
+    /// Fail when any unwaived finding remains.
+    pub deny_warnings: bool,
+    /// Print every active inline waiver instead of the report.
+    pub list_waivers: bool,
 }
 
 /// Run the workspace static-analysis pass and render its report.
@@ -865,29 +530,25 @@ pub fn run(command: &Command) -> Result<String, CliError> {
 /// Without `--root` the workspace is found by walking up from the current
 /// directory to the nearest `analyze.toml`. With `--deny-warnings` an
 /// unwaived finding is an error (non-zero exit), matching the CI gate.
-fn run_analyze(
-    root: Option<&str>,
-    rule: Option<String>,
-    json: Option<&str>,
-    deny_warnings: bool,
-    list_waivers: bool,
-) -> Result<String, CliError> {
-    let root = match root {
+fn run_analyze(args: &AnalyzeArgs) -> Result<String, CliError> {
+    let root = match &args.root {
         Some(dir) => std::path::PathBuf::from(dir),
         None => tw_analyze::find_workspace_root(std::path::Path::new("."))
             .map_err(|e| CliError(e.to_string()))?,
     };
-    let options = tw_analyze::Options { rule };
+    let options = tw_analyze::Options {
+        rule: args.rule.clone(),
+    };
     let report = tw_analyze::analyze_with(&root, &options).map_err(|e| CliError(e.to_string()))?;
-    if list_waivers {
+    if args.list_waivers {
         return Ok(report.render_waivers());
     }
-    if let Some(path) = json {
+    if let Some(path) = &args.json {
         std::fs::write(path, report.render_json())
             .map_err(|e| CliError(format!("writing {path}: {e}")))?;
     }
     let text = report.render_text();
-    if deny_warnings && report.unwaived_count() > 0 {
+    if args.deny_warnings && report.unwaived_count() > 0 {
         return Err(CliError(format!(
             "{text}analyze: --deny-warnings with {} unwaived finding(s)",
             report.unwaived_count()
@@ -896,30 +557,146 @@ fn run_analyze(
     Ok(text)
 }
 
-/// Arguments for [`run_ingest`] (one scenario streamed through the pipeline).
-#[derive(Debug, Clone)]
-pub struct IngestArgs {
-    /// Scenario name.
-    pub scenario: String,
-    /// Windows to emit.
-    pub windows: usize,
-    /// Address-space size.
+/// The flags `ingest`, `classroom` and `serve` share: the source — a
+/// scenario generated live or, for `classroom` and `serve`, a recording in
+/// its place — and the metrics export.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LiveArgs {
+    /// Scenario name (required unless `replay` is given).
+    pub scenario: Option<String>,
+    /// Recording to stream instead of generating events live.
+    pub replay: Option<String>,
+    /// Address-space size of a live scenario.
     pub nodes: u32,
     /// Scenario seed.
     pub seed: u64,
-    /// Shard count (0 = auto).
+    /// Shard count (0 = auto; at most `nodes`).
     pub shards: usize,
     /// Routing worker threads per batch (0 = one per hardware thread); batches
     /// under `2 * tw_ingest::shard::PAR_GRAIN` events route inline.
     pub route_threads: usize,
-    /// Batch size (the backpressure bound).
-    pub batch: usize,
     /// Tumbling-window duration in simulated microseconds.
     pub window_us: u64,
     /// Watermark reordering horizon in simulated microseconds (0 = strict).
     pub horizon_us: u64,
     /// Per-source clock skew in simulated microseconds (0 = sorted stream).
     pub skew_us: u64,
+    /// Write the final metrics snapshot (pretty tw-json) here.
+    pub metrics_json: Option<String>,
+    /// Print a one-line metrics summary every N windows (0 = never).
+    pub stats_every: u64,
+}
+
+impl LiveArgs {
+    fn read(p: &Parsed) -> Result<Self, CliError> {
+        Ok(LiveArgs {
+            scenario: p.opt("--scenario")?,
+            replay: p.opt("--replay")?,
+            nodes: p.get("--nodes")?,
+            seed: p.get("--seed")?,
+            shards: p.get("--shards")?,
+            route_threads: p.get("--route-threads")?,
+            window_us: p.get("--window-us")?,
+            horizon_us: p.get("--horizon-us")?,
+            skew_us: p.get("--skew-us")?,
+            metrics_json: p.opt("--metrics-json")?,
+            stats_every: p.get("--stats-every")?,
+        })
+    }
+
+    /// Exactly one of a scenario and a recording; a live scenario must be
+    /// known, and its geometry sane.
+    fn validate(&self) -> Result<(), CliError> {
+        let error = |message: &str| Err(CliError(message.to_string()));
+        match (&self.scenario, &self.replay) {
+            (Some(_), Some(_)) => error(
+                "--scenario and --replay are mutually exclusive (a recording carries its own scenario)",
+            ),
+            (None, None) => error(
+                "--scenario <name> is required (classroom and serve take --replay <file.zip> instead)",
+            ),
+            (None, Some(_)) if self.skew_us > 0 || self.horizon_us > 0 => error(
+                "--skew-us/--horizon-us shape live ingestion; a recording was already windowed when it was captured",
+            ),
+            (None, Some(_)) => Ok(()),
+            (Some(name), None) => {
+                scenario_named(name)?;
+                at_least("--nodes", self.nodes.into(), 20)?;
+                at_least("--window-us", self.window_us, 1)?;
+                let why = " (--nodes: shards partition rows, so extra ones would own none)";
+                at_most("--shards", self.shards as u64, self.nodes.into(), why)
+            }
+        }
+    }
+
+    /// One registry for the whole run when any metrics output was asked for.
+    fn registry(&self) -> Option<MetricsRegistry> {
+        (self.metrics_json.is_some() || self.stats_every > 0).then(MetricsRegistry::new)
+    }
+
+    /// The live pipeline these flags describe, instrumented into `metrics`,
+    /// with its scenario and the stream's disorder bound in microseconds.
+    fn pipeline(
+        &self,
+        batch_size: usize,
+        metrics: Option<&MetricsRegistry>,
+    ) -> Result<(Pipeline, Scenario, u64), CliError> {
+        let scenario = scenario_named(self.scenario.as_deref().unwrap_or_default())?;
+        let config = PipelineConfig {
+            window_us: self.window_us,
+            batch_size,
+            shard_count: self.shards,
+            reorder_horizon_us: self.horizon_us,
+            route_threads: self.route_threads,
+            ..PipelineConfig::default()
+        };
+        let (source, max_disorder_us) = scenario.skewed_source(self.nodes, self.seed, self.skew_us);
+        let mut pipeline = Pipeline::new(source, config);
+        if let Some(registry) = metrics {
+            pipeline.instrument(registry);
+        }
+        Ok((pipeline, scenario, max_disorder_us))
+    }
+
+    /// The banner's warning when the horizon cannot absorb the disorder.
+    fn horizon_warning(&self, max_disorder_us: u64) -> &'static str {
+        if max_disorder_us > self.horizon_us {
+            " [WARNING: horizon below the disorder bound; late drops expected]"
+        } else {
+            ""
+        }
+    }
+}
+
+fn scenario_named(name: &str) -> Result<Scenario, CliError> {
+    Scenario::by_name(name).ok_or_else(|| {
+        let known: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
+        let known = known.join(", ");
+        CliError(format!(
+            "unknown scenario {name:?}; known scenarios: {known}"
+        ))
+    })
+}
+
+/// The largest class `classroom` runs and `serve` waits for.
+const MAX_STUDENTS: u64 = 10_000;
+
+/// Recordings and serves codec-encode every window.
+fn encodable(nodes: u32) -> Result<(), CliError> {
+    let why = ", the window codec's dimension limit (--record and serve encode every window)";
+    at_most("--nodes", nodes.into(), MAX_DIMENSION as u64, why)
+}
+
+/// Arguments for [`run_ingest`] (one scenario streamed through the pipeline).
+#[derive(Debug, Clone, PartialEq)]
+pub struct IngestArgs {
+    /// The scenario, its geometry and the metrics export (`replay` stays
+    /// `None`: ingest generates its stream).
+    pub live: LiveArgs,
+    /// Windows to emit.
+    pub windows: usize,
+    /// Batch size (the backpressure bound).
+    pub batch: usize,
     /// Record the window stream to a replayable ZIP at this path.
     pub record: Option<String>,
     /// Key-frame cadence for the recorded archive: every K-th window is a
@@ -928,34 +705,42 @@ pub struct IngestArgs {
     /// a version-1 archive).
     pub keyframe_every: u64,
     /// Emit one tw-json object per window (machine-readable transcript)
-    /// instead of the human per-window lines, banner and totals.
+    /// instead of the human per-window lines, banner and totals; also
+    /// suppresses the `stats_every` lines, keeping the transcript pure JSONL.
     pub json: bool,
-    /// Write the final pipeline metrics snapshot (pretty tw-json) here.
-    pub metrics_json: Option<String>,
-    /// Print a one-line metrics summary every N windows (0 = never;
-    /// suppressed by `json`, which keeps the transcript pure JSONL).
-    pub stats_every: u64,
 }
 
 impl IngestArgs {
-    /// Defaults matching the CLI parser, for tests and embedding callers.
+    /// The command-line defaults, for tests and embedding callers.
     pub fn new(scenario: &str) -> Self {
-        IngestArgs {
-            scenario: scenario.to_string(),
-            windows: 4,
-            nodes: 1024,
-            seed: 7,
-            shards: 0,
-            route_threads: 0,
-            batch: 8192,
-            window_us: 100_000,
-            horizon_us: 0,
-            skew_us: 0,
-            record: None,
-            keyframe_every: 0,
-            json: false,
-            metrics_json: None,
-            stats_every: 0,
+        let args = ["--scenario".to_string(), scenario.to_string()];
+        let defaults = Parsed::new("ingest", &args).and_then(|p| IngestArgs::read(&p));
+        defaults.expect("the flag table's defaults parse")
+    }
+
+    fn read(p: &Parsed) -> Result<Self, CliError> {
+        Ok(IngestArgs {
+            live: LiveArgs::read(p)?,
+            windows: p.get("--windows")?,
+            batch: p.get("--batch")?,
+            record: p.opt("--record")?,
+            keyframe_every: p.get("--keyframe-every")?,
+            json: p.switch("--json"),
+        })
+    }
+
+    fn validate(&self) -> Result<(), CliError> {
+        self.live.validate()?;
+        at_least("--batch", self.batch as u64, 1)?;
+        match (&self.live.replay, &self.record) {
+            (Some(_), _) => Err(CliError(
+                "ingest generates its stream; `replay` plays a recording".to_string(),
+            )),
+            (None, Some(_)) => encodable(self.live.nodes),
+            (None, None) if self.keyframe_every > 0 => Err(CliError(
+                "--keyframe-every shapes the recorded archive; it needs --record".to_string(),
+            )),
+            (None, None) => Ok(()),
         }
     }
 }
@@ -988,13 +773,16 @@ fn ingest_stats_json(stats: &tw_core::ingest::IngestStats) -> String {
 }
 
 /// Write a final metrics snapshot where `--metrics-json` asked for it.
-fn write_metrics_json(
-    path: &str,
-    snapshot: &tw_core::metrics::MetricsSnapshot,
-) -> Result<(), CliError> {
+fn write_metrics_json(path: &str, snapshot: &MetricsSnapshot) -> Result<(), CliError> {
     let mut text = tw_core::json::to_string_pretty(&snapshot.to_json());
     text.push('\n');
     std::fs::write(path, text).map_err(|e| CliError(format!("{path}: {e}")))
+}
+
+/// The banner suffix of a paced stream.
+fn paced_note(speed: u64) -> String {
+    let note = (speed > 0).then(|| format!(", paced at {speed}x real time"));
+    note.unwrap_or_default()
 }
 
 /// Stream a named scenario through the sharded ingest pipeline and render
@@ -1003,82 +791,40 @@ fn write_metrics_json(
 /// clocks (an out-of-order stream) and `horizon_us` sets the watermark
 /// reordering horizon that absorbs the disorder.
 pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
-    use tw_core::ingest::{
-        ArchiveRecorder, Pipeline, PipelineConfig, RecordingMeta, Scenario, MAX_DIMENSION,
-    };
-    use tw_core::metrics::MetricsRegistry;
+    use tw_core::ingest::{ArchiveRecorder, RecordingMeta};
 
-    let scenario_name = args.scenario.as_str();
-    let scenario = Scenario::by_name(scenario_name).ok_or_else(|| {
-        let known: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
-        CliError(format!(
-            "unknown scenario {scenario_name:?}; known scenarios: {}",
-            known.join(", ")
-        ))
-    })?;
-    if args.nodes < 20 {
-        return Err(CliError("--nodes must be at least 20".to_string()));
-    }
-    if args.record.is_some() && args.nodes as usize > MAX_DIMENSION {
-        return Err(CliError(format!(
-            "--record supports at most {MAX_DIMENSION} nodes (the window codec's dimension limit)"
-        )));
-    }
-    if args.batch == 0 {
-        return Err(CliError("--batch must be at least 1".to_string()));
-    }
-    if args.window_us == 0 {
-        return Err(CliError("--window-us must be at least 1".to_string()));
-    }
-    let config = PipelineConfig {
-        window_us: args.window_us,
-        batch_size: args.batch,
-        shard_count: args.shards,
-        reorder_horizon_us: args.horizon_us,
-        route_threads: args.route_threads,
-        ..PipelineConfig::default()
-    };
-    let (source, max_disorder_us) = scenario.skewed_source(args.nodes, args.seed, args.skew_us);
-    // One registry spans the whole run when any metrics output was asked
-    // for; the pipeline records its stage timings and counters into it.
-    let registry = (args.metrics_json.is_some() || args.stats_every > 0).then(MetricsRegistry::new);
-    let mut pipeline = Pipeline::new(source, config);
-    if let Some(registry) = &registry {
-        pipeline.instrument(registry);
-    }
+    args.validate()?;
+    let live = &args.live;
+    let registry = live.registry();
+    let (mut pipeline, scenario, max_disorder_us) = live.pipeline(args.batch, registry.as_ref())?;
     let mut out = String::new();
     if !args.json {
         let _ = writeln!(
             out,
             "scenario {scenario} ({}): {} nodes, {} us windows, {} shard(s), batch {}, seed {}",
             scenario.describe(),
-            args.nodes,
-            args.window_us,
+            live.nodes,
+            live.window_us,
             pipeline.shard_count(),
             args.batch,
-            args.seed,
+            live.seed,
         );
-        if args.skew_us > 0 || args.horizon_us > 0 {
+        if live.skew_us > 0 || live.horizon_us > 0 {
             let _ = writeln!(
                 out,
-                "out-of-order: clock skew up to {} us (max disorder {} us), reorder horizon {} us{}",
-                args.skew_us,
-                max_disorder_us,
-                args.horizon_us,
-                if max_disorder_us > args.horizon_us {
-                    " [WARNING: horizon below the disorder bound; late drops expected]"
-                } else {
-                    ""
-                },
+                "out-of-order: clock skew up to {} us (max disorder {max_disorder_us} us), reorder horizon {} us{}",
+                live.skew_us,
+                live.horizon_us,
+                live.horizon_warning(max_disorder_us),
             );
         }
     }
     let mut recorder = args.record.as_ref().map(|_| {
         ArchiveRecorder::new(RecordingMeta {
             scenario: scenario.name().to_string(),
-            seed: args.seed,
-            node_count: args.nodes as usize,
-            window_us: args.window_us,
+            seed: live.seed,
+            node_count: live.nodes as usize,
+            window_us: live.window_us,
             keyframe_every: args.keyframe_every,
         })
     });
@@ -1086,12 +832,13 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
     // stats lines interleave with the transcript at the cadence asked for.
     // Only the per-window stats are kept for the totals; each matrix goes
     // back to the pipeline's CSR pool once recorded, so the transcript run
-    // holds one window in memory and rotation reuses the arrays.
-    let mut window_stats = Vec::with_capacity(args.windows);
+    // holds one window in memory and rotation reuses the arrays. The
+    // presize is capped like `Pipeline::run`'s: `--windows` comes from the
+    // command line and may be far larger than the stream is ever pulled.
+    let mut window_stats = Vec::with_capacity(args.windows.min(1024));
     while window_stats.len() < args.windows {
-        let report = match pipeline.next_window() {
-            Some(report) => report,
-            None => break,
+        let Some(report) = pipeline.next_window() else {
+            break;
         };
         if args.json {
             let _ = writeln!(out, "{}", ingest_stats_json(&report.stats));
@@ -1106,8 +853,8 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
         pipeline.recycle_window(report.matrix);
         window_stats.push(report.stats);
         if !args.json
-            && args.stats_every > 0
-            && (window_stats.len() as u64).is_multiple_of(args.stats_every)
+            && live.stats_every > 0
+            && (window_stats.len() as u64).is_multiple_of(live.stats_every)
         {
             if let Some(registry) = &registry {
                 let _ = writeln!(out, "stats: {}", registry.snapshot().one_line());
@@ -1140,7 +887,7 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
             );
         }
     }
-    if let (Some(path), Some(registry)) = (args.metrics_json.as_deref(), &registry) {
+    if let (Some(path), Some(registry)) = (live.metrics_json.as_deref(), &registry) {
         write_metrics_json(path, &registry.snapshot())?;
         if !args.json {
             let _ = writeln!(out, "wrote metrics snapshot to {path}");
@@ -1152,7 +899,7 @@ pub fn run_ingest(args: &IngestArgs) -> Result<String, CliError> {
 /// Replay a recorded window stream into a live warehouse session, decoding
 /// one window at a time from disk.
 pub fn run_replay(path: &str, speed: u64) -> Result<String, CliError> {
-    use tw_core::ingest::{FileReplaySource, Paced, WindowStream};
+    use tw_core::ingest::{FileReplaySource, Paced};
 
     let replay = FileReplaySource::open(path).map_err(|e| CliError(format!("{path}: {e}")))?;
     let manifest = replay.manifest().clone();
@@ -1175,7 +922,6 @@ pub fn run_replay(path: &str, speed: u64) -> Result<String, CliError> {
     let mut emit = |line: std::fmt::Arguments<'_>| {
         if pacing {
             println!("{line}");
-            use std::io::Write as _;
             let _ = std::io::stdout().flush();
         } else {
             let _ = writeln!(out, "{line}");
@@ -1204,228 +950,183 @@ pub fn run_replay(path: &str, speed: u64) -> Result<String, CliError> {
     emit(format_args!(
         "replayed {} window(s) onto the live warehouse (no events regenerated){}",
         live.windows_seen(),
-        if speed > 0 {
-            format!(", paced at {speed}x real time")
-        } else {
-            String::new()
-        },
+        paced_note(speed),
     ));
     Ok(out)
 }
 
-/// The stream half that `classroom` and `serve` share: one window stream
-/// (live scenario or recording) plus the banner facts a serving front end
-/// prints.
+/// The stream that `classroom` and `serve` share: one window stream (live
+/// scenario or recording, paced when asked) plus the facts a serving front
+/// end prints and sizes its buffers by.
 struct ClassStream {
-    stream: Box<dyn tw_core::ingest::WindowStream>,
+    stream: Box<dyn WindowStream>,
     scenario: String,
     description: String,
     node_count: usize,
     /// The seed the stream was generated with (a recording carries its own).
     seed: u64,
+    /// Windows to broadcast: the whole recording by default, eight windows
+    /// of an unbounded live scenario, and never more than a recording holds.
+    planned: usize,
 }
 
-/// Build the one stream a whole class shares — a live scenario or a recorded
-/// capture — validating the same invariants for every front end that serves
-/// it (in-process classroom or TCP serve).
-#[allow(clippy::too_many_arguments)]
-fn open_class_stream(
-    scenario: Option<&str>,
-    replay: Option<&str>,
-    nodes: u32,
-    seed: u64,
-    shards: usize,
-    route_threads: usize,
-    window_us: u64,
-    horizon_us: u64,
-    skew_us: u64,
-    metrics: Option<&tw_core::metrics::MetricsRegistry>,
-) -> Result<ClassStream, CliError> {
-    use tw_core::ingest::{FileReplaySource, Pipeline, PipelineConfig, Scenario};
-
-    if replay.is_some() && (horizon_us > 0 || skew_us > 0) {
-        return Err(CliError(
-            "--skew-us/--horizon-us shape live ingestion; a recording was \
-             already windowed when it was captured"
-                .to_string(),
-        ));
-    }
-    match replay {
-        Some(path) => {
-            let replay =
-                FileReplaySource::open(path).map_err(|e| CliError(format!("{path}: {e}")))?;
-            let manifest = replay.manifest().clone();
-            Ok(ClassStream {
-                stream: Box::new(replay),
-                scenario: manifest.scenario.clone(),
-                description: format!("replayed from {path}"),
-                node_count: manifest.node_count,
-                seed: manifest.seed,
-            })
+impl ClassStream {
+    /// Open the stream `live` describes (already validated), planning
+    /// `windows` and pacing at `speed` x real time (0 = as fast as possible).
+    fn open(
+        live: &LiveArgs,
+        windows: Option<usize>,
+        speed: u64,
+        metrics: Option<&MetricsRegistry>,
+    ) -> Result<Self, CliError> {
+        let mut class = match &live.replay {
+            Some(path) => {
+                let replay = tw_core::ingest::FileReplaySource::open(path)
+                    .map_err(|e| CliError(format!("{path}: {e}")))?;
+                let manifest = replay.manifest().clone();
+                ClassStream {
+                    stream: Box::new(replay),
+                    scenario: manifest.scenario,
+                    description: format!("replayed from {path}"),
+                    node_count: manifest.node_count,
+                    seed: manifest.seed,
+                    planned: 0,
+                }
+            }
+            None => {
+                let batch_size = PipelineConfig::default().batch_size;
+                let (pipeline, scenario, max_disorder_us) = live.pipeline(batch_size, metrics)?;
+                let mut description = scenario.describe().to_string();
+                if live.skew_us > 0 || live.horizon_us > 0 {
+                    let _ = write!(
+                        description,
+                        "; clock skew {} us, horizon {} us{}",
+                        live.skew_us,
+                        live.horizon_us,
+                        live.horizon_warning(max_disorder_us),
+                    );
+                }
+                ClassStream {
+                    stream: Box::new(pipeline),
+                    scenario: scenario.name().to_string(),
+                    description,
+                    node_count: live.nodes as usize,
+                    seed: live.seed,
+                    planned: 0,
+                }
+            }
+        };
+        class.planned = match class.stream.remaining_windows() {
+            Some(recorded) => windows.unwrap_or(recorded).min(recorded),
+            None => windows.unwrap_or(8),
+        };
+        if class.planned == 0 {
+            return Err(CliError("the recording holds no windows".to_string()));
         }
-        None => {
-            let name = scenario.ok_or(CliError(
-                "a scenario name or a recording is required".to_string(),
-            ))?;
-            let scenario = Scenario::by_name(name).ok_or_else(|| {
-                let known: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
-                CliError(format!(
-                    "unknown scenario {name:?}; known scenarios: {}",
-                    known.join(", ")
-                ))
-            })?;
-            if nodes < 20 {
-                return Err(CliError("--nodes must be at least 20".to_string()));
-            }
-            if window_us == 0 {
-                return Err(CliError("--window-us must be at least 1".to_string()));
-            }
-            let config = PipelineConfig {
-                window_us,
-                batch_size: 8_192,
-                shard_count: shards,
-                reorder_horizon_us: horizon_us,
-                route_threads,
-                ..PipelineConfig::default()
-            };
-            let (source, max_disorder_us) = scenario.skewed_source(nodes, seed, skew_us);
-            let mut pipeline = Pipeline::new(source, config);
-            if let Some(registry) = metrics {
-                pipeline.instrument(registry);
-            }
-            let description = if skew_us > 0 || horizon_us > 0 {
-                format!(
-                    "{}; clock skew {} us, horizon {} us{}",
-                    scenario.describe(),
-                    skew_us,
-                    horizon_us,
-                    if max_disorder_us > horizon_us {
-                        " [WARNING: horizon below the disorder bound; late drops expected]"
-                    } else {
-                        ""
-                    },
-                )
-            } else {
-                scenario.describe().to_string()
-            };
-            Ok(ClassStream {
-                stream: Box::new(pipeline),
-                scenario: scenario.name().to_string(),
-                description,
-                node_count: nodes as usize,
-                seed,
-            })
+        if speed > 0 {
+            class.stream = Box::new(tw_core::ingest::Paced::new(class.stream, speed));
+        }
+        Ok(class)
+    }
+
+    /// A dashboard buffer sized to the class — joins, detaches, the close,
+    /// and one lag event per window per student — so the printed lag count
+    /// is exact. The clamp bounds memory for absurd classes; beyond it the
+    /// count can undercount, and the printed eviction count says so.
+    fn telemetry(&self, students: usize) -> TelemetryHub {
+        let per_student = self.planned.saturating_add(3);
+        let events = students.max(1).saturating_mul(per_student);
+        TelemetryHub::with_capacity(events.clamp(1024, 1 << 18))
+    }
+}
+
+/// The closing lines `classroom` and `serve` share: `head` followed by the
+/// roster totals and the lag and eviction counts (then `tail`), any
+/// conservation failure, and the final metrics where some were recorded.
+/// One accounting authority: the printed totals come from the same
+/// arithmetic the conservation check audits.
+fn close_report(
+    out: &mut String,
+    (head, tail): (String, String),
+    summary: &BroadcastSummary,
+    telemetry: &TelemetryHub,
+    snapshot: Option<&MetricsSnapshot>,
+    metrics_json: Option<&str>,
+) -> Result<(), CliError> {
+    let totals = summary.totals();
+    let lagged = |e: &&TelemetryEvent| matches!(e, TelemetryEvent::SubscriberLagged { .. });
+    let lag_events = telemetry.drain().iter().filter(lagged).count();
+    // The eviction count prints unconditionally: a zero is the reader's
+    // proof the lag count is exact, not merely what survived the telemetry
+    // ring.
+    let _ = writeln!(
+        out,
+        "{head}; {} delivered, {} dropped, {} missed, {lag_events} lag event(s), {} telemetry event(s) evicted{tail}",
+        totals.delivered,
+        totals.dropped,
+        totals.missed,
+        telemetry.dropped(),
+    );
+    if let Some(error) = summary.conservation_error() {
+        let _ = writeln!(out, "WARNING: roster accounting out of balance: {error}");
+    }
+    if let Some(snapshot) = snapshot {
+        let _ = writeln!(out, "metrics: {}", snapshot.one_line());
+        if let Some(path) = metrics_json {
+            write_metrics_json(path, snapshot)?;
+            let _ = writeln!(out, "wrote metrics snapshot to {path}");
         }
     }
-}
-
-/// How many windows a class run plans to broadcast: the whole recording by
-/// default, eight windows of an unbounded live scenario, and never more than
-/// a recording actually holds.
-fn planned_windows(
-    stream: &dyn tw_core::ingest::WindowStream,
-    requested: Option<usize>,
-) -> Result<usize, CliError> {
-    let planned = match stream.remaining_windows() {
-        Some(recorded) => requested.unwrap_or(recorded).min(recorded),
-        None => requested.unwrap_or(8),
-    };
-    if planned == 0 {
-        return Err(CliError("the recording holds no windows".to_string()));
-    }
-    Ok(planned)
-}
-
-/// Wrap a stream in real-time pacing when a speed multiplier is given.
-fn paced(
-    stream: Box<dyn tw_core::ingest::WindowStream>,
-    speed: u64,
-) -> Box<dyn tw_core::ingest::WindowStream> {
-    if speed > 0 {
-        Box::new(tw_core::ingest::Paced::new(stream, speed))
-    } else {
-        stream
-    }
+    Ok(())
 }
 
 /// Arguments for [`run_classroom`] (one scenario fanned out to N students).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassroomArgs {
-    /// Scenario name (required unless `replay` is given).
-    pub scenario: Option<String>,
-    /// Recording to broadcast instead of generating events live.
-    pub replay: Option<String>,
+    /// The stream: a live scenario or a recording, plus the metrics export
+    /// (`stats_every` counts broadcast windows).
+    pub live: LiveArgs,
     /// Number of student sessions.
     pub students: usize,
     /// Windows to broadcast (default: 8 live, the whole recording on replay).
     pub windows: Option<usize>,
-    /// Address-space size for live scenarios.
-    pub nodes: u32,
-    /// Scenario seed for live scenarios.
-    pub seed: u64,
-    /// Shard count for live scenarios (0 = auto).
-    pub shards: usize,
-    /// Routing worker threads per batch (0 = one per hardware thread); batches
-    /// under `2 * tw_ingest::shard::PAR_GRAIN` events route inline.
-    pub route_threads: usize,
-    /// Tumbling-window duration for live scenarios.
-    pub window_us: u64,
-    /// Watermark reordering horizon for live scenarios (0 = strict).
-    pub horizon_us: u64,
-    /// Per-source clock skew for live scenarios (0 = sorted stream).
-    pub skew_us: u64,
     /// Pace the broadcast at N x real time (0 = as fast as possible).
     pub speed: u64,
     /// Students that join mid-scenario (default: one in five).
     pub late: Option<usize>,
-    /// Write the final pipeline+broadcast metrics snapshot here.
-    pub metrics_json: Option<String>,
-    /// Print a one-line metrics summary every N broadcast windows.
-    pub stats_every: u64,
+}
+
+impl ClassroomArgs {
+    fn read(p: &Parsed) -> Result<Self, CliError> {
+        Ok(ClassroomArgs {
+            live: LiveArgs::read(p)?,
+            students: p.get("--students")?,
+            windows: p.opt("--windows")?,
+            speed: p.opt("--speed")?.unwrap_or(0),
+            late: p.opt("--late")?,
+        })
+    }
+
+    fn validate(&self) -> Result<(), CliError> {
+        self.live.validate()?;
+        at_most("--students", self.students as u64, MAX_STUDENTS, "")
+    }
 }
 
 /// Serve one scenario to a classroom: drive the stream once through the
 /// broadcast hub on this thread while every student session consumes its own
 /// subscription on its own thread; returns per-student summaries.
 pub fn run_classroom(args: &ClassroomArgs) -> Result<String, CliError> {
-    use tw_core::game::{
-        BroadcastConfig, Broadcaster, GameSession, StartOffset, TelemetryEvent, TelemetryHub,
-    };
+    use tw_core::game::{BroadcastConfig, Broadcaster, StartOffset};
 
-    if args.students > 10_000 {
-        return Err(CliError("--students is capped at 10000".to_string()));
-    }
+    args.validate()?;
     // One registry spans the pipeline and the hub when metrics output was
     // asked for.
-    let registry = (args.metrics_json.is_some() || args.stats_every > 0)
-        .then(tw_core::metrics::MetricsRegistry::new);
+    let registry = args.live.registry();
     // Build the one stream the whole class shares.
-    let class = open_class_stream(
-        args.scenario.as_deref(),
-        args.replay.as_deref(),
-        args.nodes,
-        args.seed,
-        args.shards,
-        args.route_threads,
-        args.window_us,
-        args.horizon_us,
-        args.skew_us,
-        registry.as_ref(),
-    )?;
-    let planned = planned_windows(class.stream.as_ref(), args.windows)?;
-    let (scenario_name, description, node_count) =
-        (class.scenario, class.description, class.node_count);
-    let mut stream = paced(class.stream, args.speed);
-
-    // Size the dashboard buffer to the class — joins, detaches, the close,
-    // and one lag event per window per student — so the printed lag count is
-    // exact. The clamp bounds memory for absurd classes; beyond it the count
-    // can undercount and the eviction note below says so.
-    let telemetry_capacity = args
-        .students
-        .saturating_mul(planned.saturating_add(3))
-        .clamp(1024, 1 << 18);
-    let telemetry = TelemetryHub::with_capacity(telemetry_capacity);
+    let mut class = ClassStream::open(&args.live, args.windows, args.speed, registry.as_ref())?;
+    let planned = class.planned;
+    let telemetry = class.telemetry(args.students);
     let mut caster = Broadcaster::with_instrumentation(
         BroadcastConfig {
             channel_capacity: planned.clamp(64, 1024),
@@ -1457,8 +1158,8 @@ pub fn run_classroom(args: &ClassroomArgs) -> Result<String, CliError> {
                 // the ring.
                 let early = (sid < on_time).then(|| caster.subscribe(StartOffset::Origin));
                 let handle = handle.clone();
-                let scenario_name = scenario_name.clone();
-                let seed = args.seed;
+                let scenario_name = class.scenario.clone();
+                let seed = args.live.seed;
                 scope.spawn(move || {
                     let subscription = early.unwrap_or_else(|| {
                         while handle.windows_broadcast() < late_at && !handle.is_closed() {
@@ -1492,10 +1193,12 @@ pub fn run_classroom(args: &ClassroomArgs) -> Result<String, CliError> {
             if broadcast >= planned {
                 break Ok(());
             }
-            match caster.step(stream.as_mut()) {
+            match caster.step(class.stream.as_mut()) {
                 Ok(Some(_)) => {
                     broadcast += 1;
-                    if args.stats_every > 0 && (broadcast as u64).is_multiple_of(args.stats_every) {
+                    if args.live.stats_every > 0
+                        && (broadcast as u64).is_multiple_of(args.live.stats_every)
+                    {
                         if let Some(registry) = &registry {
                             stats_lines.push((broadcast, registry.snapshot().one_line()));
                         }
@@ -1524,8 +1227,8 @@ pub fn run_classroom(args: &ClassroomArgs) -> Result<String, CliError> {
     let (summary, stats_lines) = summary.map_err(|e| CliError(e.to_string()))?;
 
     let mut out = format!(
-        "classroom: {scenario_name} ({description}) over {node_count} nodes -> {} student(s) ({} on time, {late} late at w{late_at})\n",
-        args.students, on_time,
+        "classroom: {} ({}) over {} nodes -> {} student(s) ({on_time} on time, {late} late at w{late_at})\n",
+        class.scenario, class.description, class.node_count, args.students,
     );
     for (window, line) in &stats_lines {
         let _ = writeln!(out, "  stats after w{}: {line}", window - 1);
@@ -1542,43 +1245,18 @@ pub fn run_classroom(args: &ClassroomArgs) -> Result<String, CliError> {
             line.last.map_or("-".to_string(), |w| format!("w{w}")),
         );
     }
-    // One accounting authority: the roster totals and the printed summary
-    // come from the same arithmetic the conservation check audits.
-    let totals = summary.totals();
-    let lag_events = telemetry
-        .drain()
-        .into_iter()
-        .filter(|e| matches!(e, TelemetryEvent::SubscriberLagged { .. }))
-        .count();
-    // The eviction count prints unconditionally: a zero is the reader's
-    // proof the lag count above is exact, not merely what survived the
-    // telemetry ring.
-    let _ = writeln!(
-        out,
-        "broadcast: {} window(s) served once to {} subscriber(s); {} delivered, {} dropped, {} missed, {lag_events} lag event(s), {} telemetry event(s) evicted{}",
-        summary.windows,
-        summary.subscribers,
-        totals.delivered,
-        totals.dropped,
-        totals.missed,
-        telemetry.dropped(),
-        if args.speed > 0 {
-            format!(", paced at {}x real time", args.speed)
-        } else {
-            String::new()
-        },
+    let head = format!(
+        "broadcast: {} window(s) served once to {} subscriber(s)",
+        summary.windows, summary.subscribers
     );
-    if let Some(error) = summary.conservation_error() {
-        let _ = writeln!(out, "WARNING: roster accounting out of balance: {error}");
-    }
-    if let Some(registry) = &registry {
-        let snapshot = registry.snapshot();
-        let _ = writeln!(out, "metrics: {}", snapshot.one_line());
-        if let Some(path) = args.metrics_json.as_deref() {
-            write_metrics_json(path, &snapshot)?;
-            let _ = writeln!(out, "wrote metrics snapshot to {path}");
-        }
-    }
+    close_report(
+        &mut out,
+        (head, paced_note(args.speed)),
+        &summary,
+        &telemetry,
+        registry.map(|r| r.snapshot()).as_ref(),
+        args.live.metrics_json.as_deref(),
+    )?;
     Ok(out)
 }
 
@@ -1587,37 +1265,17 @@ pub fn run_classroom(args: &ClassroomArgs) -> Result<String, CliError> {
 pub struct ServeArgs {
     /// Address to listen on (e.g. `127.0.0.1:7000`; port 0 picks a free one).
     pub listen: String,
-    /// Scenario name (required unless `replay` is given).
-    pub scenario: Option<String>,
-    /// Recording to serve instead of generating events live.
-    pub replay: Option<String>,
+    /// The stream: a live scenario or a recording, plus the metrics export.
+    /// `stats_every` also streams a Stats frame to every client after each
+    /// N window frames; `connect --stats` prints them.
+    pub live: LiveArgs,
     /// Hold the first window until this many clients have connected
     /// (0 = start streaming immediately).
     pub students: usize,
     /// Windows to serve (default: 8 live, the whole recording on replay).
     pub windows: Option<usize>,
-    /// Address-space size for live scenarios.
-    pub nodes: u32,
-    /// Scenario seed for live scenarios.
-    pub seed: u64,
-    /// Shard count for live scenarios (0 = auto).
-    pub shards: usize,
-    /// Routing worker threads per batch (0 = one per hardware thread); batches
-    /// under `2 * tw_ingest::shard::PAR_GRAIN` events route inline.
-    pub route_threads: usize,
-    /// Tumbling-window duration for live scenarios.
-    pub window_us: u64,
-    /// Watermark reordering horizon for live scenarios (0 = strict).
-    pub horizon_us: u64,
-    /// Per-source clock skew for live scenarios (0 = sorted stream).
-    pub skew_us: u64,
     /// Pace the serve at N x real time (0 = as fast as possible).
     pub speed: u64,
-    /// Write the final serving-stack metrics snapshot here.
-    pub metrics_json: Option<String>,
-    /// Also stream a Stats frame to every client after each N window
-    /// frames (0 = none); `connect --stats` prints them.
-    pub stats_every: u64,
     /// Key-frame cadence on the wire: every K-th window is served as a
     /// self-contained full frame, the rest as sparse v3 delta frames
     /// against the previous window where smaller than in full (0 = every
@@ -1626,25 +1284,30 @@ pub struct ServeArgs {
 }
 
 impl ServeArgs {
-    /// Defaults matching the CLI parser, for tests and embedding callers.
+    /// The command-line defaults, for tests and embedding callers.
     pub fn new(listen: &str) -> Self {
-        ServeArgs {
-            listen: listen.to_string(),
-            scenario: None,
-            replay: None,
-            students: 0,
-            windows: None,
-            nodes: 256,
-            seed: 7,
-            shards: 0,
-            route_threads: 0,
-            window_us: 100_000,
-            horizon_us: 0,
-            skew_us: 0,
-            speed: 0,
-            metrics_json: None,
-            stats_every: 0,
-            keyframe_every: 0,
+        let args = ["--listen".to_string(), listen.to_string()];
+        let defaults = Parsed::new("serve", &args).and_then(|p| ServeArgs::read(&p));
+        defaults.expect("the flag table's defaults parse")
+    }
+
+    fn read(p: &Parsed) -> Result<Self, CliError> {
+        Ok(ServeArgs {
+            listen: p.get("--listen")?,
+            live: LiveArgs::read(p)?,
+            students: p.get("--students")?,
+            windows: p.opt("--windows")?,
+            speed: p.opt("--speed")?.unwrap_or(0),
+            keyframe_every: p.get("--keyframe-every")?,
+        })
+    }
+
+    fn validate(&self) -> Result<(), CliError> {
+        self.live.validate()?;
+        at_most("--students", self.students as u64, MAX_STUDENTS, "")?;
+        match self.live.replay {
+            Some(_) => Ok(()),
+            None => encodable(self.live.nodes),
         }
     }
 }
@@ -1660,62 +1323,33 @@ pub fn run_serve(args: &ServeArgs) -> Result<String, CliError> {
 /// encode each window once, and fan identical frames out to every connected
 /// client; returns per-student accounting once the serve ends.
 pub fn run_serve_on(listener: std::net::TcpListener, args: &ServeArgs) -> Result<String, CliError> {
-    use tw_core::game::{TelemetryEvent, TelemetryHub};
     use tw_core::serve::{serve, ServeConfig};
 
-    if args.students > 10_000 {
-        return Err(CliError("--students is capped at 10000".to_string()));
-    }
+    args.validate()?;
     // One registry spans the pipeline, the hub and the server when metrics
     // output (file or wire) was asked for.
-    let registry = (args.metrics_json.is_some() || args.stats_every > 0)
-        .then(tw_core::metrics::MetricsRegistry::new);
-    let class = open_class_stream(
-        args.scenario.as_deref(),
-        args.replay.as_deref(),
-        args.nodes,
-        args.seed,
-        args.shards,
-        args.route_threads,
-        args.window_us,
-        args.horizon_us,
-        args.skew_us,
-        registry.as_ref(),
-    )?;
-    let planned = planned_windows(class.stream.as_ref(), args.windows)?;
-    let mut stream = paced(class.stream, args.speed);
+    let registry = args.live.registry();
+    let mut class = ClassStream::open(&args.live, args.windows, args.speed, registry.as_ref())?;
+    let planned = class.planned;
     let addr = listener.local_addr().map_err(|e| CliError(e.to_string()))?;
     // The listening line streams eagerly (like paced replay) so students —
     // and scripts parsing the bound port — see the address while the serve
     // itself blocks; the accounting below stays on the buffered contract.
     println!(
-        "listening on {addr}: {} ({}) over {} nodes, {} window(s){}{}",
+        "listening on {addr}: {} ({}) over {} nodes, {planned} window(s){}{}",
         class.scenario,
         class.description,
         class.node_count,
-        planned,
         if args.students > 0 {
             format!(", waiting for {} student(s)", args.students)
         } else {
             String::new()
         },
-        if args.speed > 0 {
-            format!(", paced at {}x real time", args.speed)
-        } else {
-            String::new()
-        },
+        paced_note(args.speed),
     );
-    {
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-    }
+    let _ = std::io::stdout().flush();
 
-    let telemetry_capacity = args
-        .students
-        .max(1)
-        .saturating_mul(planned.saturating_add(3))
-        .clamp(1024, 1 << 18);
-    let telemetry = TelemetryHub::with_capacity(telemetry_capacity);
+    let telemetry = class.telemetry(args.students);
     let config = ServeConfig {
         scenario: class.scenario.clone(),
         seed: class.seed,
@@ -1727,12 +1361,17 @@ pub fn run_serve_on(listener: std::net::TcpListener, args: &ServeArgs) -> Result
         // student has left there is no one to serve, even mid-stream.
         stop_when_empty: args.students > 0,
         metrics: registry.clone(),
-        stats_every: args.stats_every,
+        stats_every: args.live.stats_every,
         keyframe_every: args.keyframe_every,
         ..ServeConfig::default()
     };
-    let summary = serve(listener, stream.as_mut(), &config, Some(telemetry.clone()))
-        .map_err(|e| CliError(e.to_string()))?;
+    let summary = serve(
+        listener,
+        class.stream.as_mut(),
+        &config,
+        Some(telemetry.clone()),
+    )
+    .map_err(|e| CliError(e.to_string()))?;
 
     let mut out = String::new();
     for report in &summary.broadcast.reports {
@@ -1751,35 +1390,20 @@ pub fn run_serve_on(listener: std::net::TcpListener, args: &ServeArgs) -> Result
             },
         );
     }
-    let totals = summary.broadcast.totals();
-    let lag_events = telemetry
-        .drain()
-        .into_iter()
-        .filter(|e| matches!(e, TelemetryEvent::SubscriberLagged { .. }))
-        .count();
-    // The eviction count prints unconditionally, like the classroom's: zero
-    // means the lag count is exact.
-    let _ = writeln!(
-        out,
-        "served {} window(s) ({} encoded bytes) to {} connection(s); {} delivered, {} dropped, {} missed, {lag_events} lag event(s), {} telemetry event(s) evicted",
+    let head = format!(
+        "served {} window(s) ({} encoded bytes) to {} connection(s)",
         summary.windows(),
         summary.encoded_bytes,
         summary.connections(),
-        totals.delivered,
-        totals.dropped,
-        totals.missed,
-        telemetry.dropped(),
     );
-    if let Some(error) = summary.broadcast.conservation_error() {
-        let _ = writeln!(out, "WARNING: roster accounting out of balance: {error}");
-    }
-    if let Some(snapshot) = &summary.snapshot {
-        let _ = writeln!(out, "metrics: {}", snapshot.one_line());
-        if let Some(path) = args.metrics_json.as_deref() {
-            write_metrics_json(path, snapshot)?;
-            let _ = writeln!(out, "wrote metrics snapshot to {path}");
-        }
-    }
+    close_report(
+        &mut out,
+        (head, String::new()),
+        &summary.broadcast,
+        &telemetry,
+        summary.snapshot.as_ref(),
+        args.live.metrics_json.as_deref(),
+    )?;
     Ok(out)
 }
 
@@ -2002,9 +1626,7 @@ mod tests {
         assert_eq!(parse_args(&[]).unwrap(), Command::Help);
         assert_eq!(
             parse_args(&args(&["validate", "m.json"])).unwrap(),
-            Command::Validate {
-                path: "m.json".into()
-            }
+            Command::Validate("m.json".into())
         );
         assert_eq!(
             parse_args(&args(&[
@@ -2016,19 +1638,19 @@ mod tests {
                 "x.ppm"
             ]))
             .unwrap(),
-            Command::Render {
+            Command::Render(RenderArgs {
                 path: "m.json".into(),
                 three_d: true,
                 colors: true,
                 out: Some("x.ppm".into())
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&["play", "b.zip", "--seed", "9"])).unwrap(),
-            Command::Play {
+            Command::Play(PlayArgs {
                 path: "b.zip".into(),
                 seed: 9
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&["curriculum"])).unwrap(),
@@ -2053,44 +1675,50 @@ mod tests {
                 "50000"
             ]))
             .unwrap(),
-            Command::Ingest {
-                scenario: "ddos".into(),
+            Command::Ingest(IngestArgs {
+                live: LiveArgs {
+                    scenario: Some("ddos".into()),
+                    replay: None,
+                    nodes: 256,
+                    seed: 3,
+                    shards: 4,
+                    window_us: 50_000,
+                    horizon_us: 0,
+                    skew_us: 0,
+                    metrics_json: None,
+                    stats_every: 0,
+                    route_threads: 0,
+                },
                 windows: 2,
-                nodes: 256,
-                seed: 3,
-                shards: 4,
                 batch: 512,
-                window_us: 50_000,
-                horizon_us: 0,
-                skew_us: 0,
                 record: None,
                 keyframe_every: 0,
                 json: false,
-                metrics_json: None,
-                stats_every: 0,
-                route_threads: 0,
-            }
+            })
         );
         // Defaults: 4 windows over 1024 nodes with auto shards.
         assert_eq!(
             parse_args(&args(&["ingest", "--scenario", "scan"])).unwrap(),
-            Command::Ingest {
-                scenario: "scan".into(),
+            Command::Ingest(IngestArgs {
+                live: LiveArgs {
+                    scenario: Some("scan".into()),
+                    replay: None,
+                    nodes: 1024,
+                    seed: 7,
+                    shards: 0,
+                    window_us: 100_000,
+                    horizon_us: 0,
+                    skew_us: 0,
+                    metrics_json: None,
+                    stats_every: 0,
+                    route_threads: 0,
+                },
                 windows: 4,
-                nodes: 1024,
-                seed: 7,
-                shards: 0,
                 batch: 8192,
-                window_us: 100_000,
-                horizon_us: 0,
-                skew_us: 0,
                 record: None,
                 keyframe_every: 0,
                 json: false,
-                metrics_json: None,
-                stats_every: 0,
-                route_threads: 0,
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&[
@@ -2103,23 +1731,26 @@ mod tests {
                 "4"
             ]))
             .unwrap(),
-            Command::Ingest {
-                scenario: "ddos".into(),
+            Command::Ingest(IngestArgs {
+                live: LiveArgs {
+                    scenario: Some("ddos".into()),
+                    replay: None,
+                    nodes: 1024,
+                    seed: 7,
+                    shards: 0,
+                    window_us: 100_000,
+                    horizon_us: 0,
+                    skew_us: 0,
+                    metrics_json: None,
+                    stats_every: 0,
+                    route_threads: 0,
+                },
                 windows: 4,
-                nodes: 1024,
-                seed: 7,
-                shards: 0,
                 batch: 8192,
-                window_us: 100_000,
-                horizon_us: 0,
-                skew_us: 0,
                 record: Some("out.zip".into()),
                 keyframe_every: 4,
                 json: false,
-                metrics_json: None,
-                stats_every: 0,
-                route_threads: 0,
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&[
@@ -2132,37 +1763,40 @@ mod tests {
                 "20000"
             ]))
             .unwrap(),
-            Command::Ingest {
-                scenario: "ddos".into(),
+            Command::Ingest(IngestArgs {
+                live: LiveArgs {
+                    scenario: Some("ddos".into()),
+                    replay: None,
+                    nodes: 1024,
+                    seed: 7,
+                    shards: 0,
+                    window_us: 100_000,
+                    horizon_us: 20_000,
+                    skew_us: 5_000,
+                    metrics_json: None,
+                    stats_every: 0,
+                    route_threads: 0,
+                },
                 windows: 4,
-                nodes: 1024,
-                seed: 7,
-                shards: 0,
                 batch: 8192,
-                window_us: 100_000,
-                horizon_us: 20_000,
-                skew_us: 5_000,
                 record: None,
                 keyframe_every: 0,
                 json: false,
-                metrics_json: None,
-                stats_every: 0,
-                route_threads: 0,
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&["replay", "out.zip"])).unwrap(),
-            Command::Replay {
+            Command::Replay(ReplayArgs {
                 path: "out.zip".into(),
                 speed: 0
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&["replay", "out.zip", "--speed", "4"])).unwrap(),
-            Command::Replay {
+            Command::Replay(ReplayArgs {
                 path: "out.zip".into(),
                 speed: 4
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&["scenarios"])).unwrap(),
@@ -2186,7 +1820,10 @@ mod tests {
             ]))
             .unwrap(),
             Command::Serve(ServeArgs {
-                scenario: Some("ddos".into()),
+                live: LiveArgs {
+                    scenario: Some("ddos".into()),
+                    ..ServeArgs::new("127.0.0.1:0").live
+                },
                 students: 30,
                 windows: Some(6),
                 speed: 4,
@@ -2204,25 +1841,28 @@ mod tests {
             ]))
             .unwrap(),
             Command::Serve(ServeArgs {
-                replay: Some("c.zip".into()),
+                live: LiveArgs {
+                    replay: Some("c.zip".into()),
+                    ..ServeArgs::new("0.0.0.0:7000").live
+                },
                 ..ServeArgs::new("0.0.0.0:7000")
             })
         );
         assert_eq!(
             parse_args(&args(&["connect", "127.0.0.1:7000"])).unwrap(),
-            Command::Connect {
+            Command::Connect(ConnectArgs {
                 addr: "127.0.0.1:7000".into(),
                 windows: None,
                 stats: false
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&["connect", "127.0.0.1:7000", "--windows", "5"])).unwrap(),
-            Command::Connect {
+            Command::Connect(ConnectArgs {
                 addr: "127.0.0.1:7000".into(),
                 windows: Some(5),
                 stats: false
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&[
@@ -2233,23 +1873,25 @@ mod tests {
                 "30"
             ]))
             .unwrap(),
-            Command::Classroom {
-                scenario: Some("ddos".into()),
-                replay: None,
+            Command::Classroom(ClassroomArgs {
+                live: LiveArgs {
+                    scenario: Some("ddos".into()),
+                    replay: None,
+                    nodes: 256,
+                    seed: 7,
+                    shards: 0,
+                    window_us: 100_000,
+                    horizon_us: 0,
+                    skew_us: 0,
+                    metrics_json: None,
+                    stats_every: 0,
+                    route_threads: 0,
+                },
                 students: 30,
                 windows: None,
-                nodes: 256,
-                seed: 7,
-                shards: 0,
-                window_us: 100_000,
-                horizon_us: 0,
-                skew_us: 0,
                 speed: 0,
                 late: None,
-                metrics_json: None,
-                stats_every: 0,
-                route_threads: 0,
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&[
@@ -2272,23 +1914,25 @@ mod tests {
                 "50000",
             ]))
             .unwrap(),
-            Command::Classroom {
-                scenario: None,
-                replay: Some("c.zip".into()),
+            Command::Classroom(ClassroomArgs {
+                live: LiveArgs {
+                    scenario: None,
+                    replay: Some("c.zip".into()),
+                    nodes: 128,
+                    seed: 9,
+                    shards: 2,
+                    window_us: 50_000,
+                    horizon_us: 0,
+                    skew_us: 0,
+                    metrics_json: None,
+                    stats_every: 0,
+                    route_threads: 0,
+                },
                 students: 8,
                 windows: Some(4),
-                nodes: 128,
-                seed: 9,
-                shards: 2,
-                window_us: 50_000,
-                horizon_us: 0,
-                skew_us: 0,
                 speed: 8,
                 late: Some(2),
-                metrics_json: None,
-                stats_every: 0,
-                route_threads: 0,
-            }
+            })
         );
     }
 
@@ -2306,23 +1950,26 @@ mod tests {
                 "2",
             ]))
             .unwrap(),
-            Command::Ingest {
-                scenario: "ddos".into(),
+            Command::Ingest(IngestArgs {
+                live: LiveArgs {
+                    scenario: Some("ddos".into()),
+                    replay: None,
+                    nodes: 1024,
+                    seed: 7,
+                    shards: 0,
+                    window_us: 100_000,
+                    horizon_us: 0,
+                    skew_us: 0,
+                    metrics_json: Some("m.json".into()),
+                    stats_every: 2,
+                    route_threads: 0,
+                },
                 windows: 4,
-                nodes: 1024,
-                seed: 7,
-                shards: 0,
                 batch: 8192,
-                window_us: 100_000,
-                horizon_us: 0,
-                skew_us: 0,
                 record: None,
                 keyframe_every: 0,
                 json: true,
-                metrics_json: Some("m.json".into()),
-                stats_every: 2,
-                route_threads: 0,
-            }
+            })
         );
         assert_eq!(
             parse_args(&args(&[
@@ -2338,19 +1985,22 @@ mod tests {
             ]))
             .unwrap(),
             Command::Serve(ServeArgs {
-                scenario: Some("ddos".into()),
-                metrics_json: Some("m.json".into()),
-                stats_every: 1,
+                live: LiveArgs {
+                    scenario: Some("ddos".into()),
+                    metrics_json: Some("m.json".into()),
+                    stats_every: 1,
+                    ..ServeArgs::new("127.0.0.1:0").live
+                },
                 ..ServeArgs::new("127.0.0.1:0")
             })
         );
         assert_eq!(
             parse_args(&args(&["connect", "127.0.0.1:7000", "--stats"])).unwrap(),
-            Command::Connect {
+            Command::Connect(ConnectArgs {
                 addr: "127.0.0.1:7000".into(),
                 windows: None,
                 stats: true,
-            }
+            })
         );
         match parse_args(&args(&[
             "classroom",
@@ -2363,11 +2013,15 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Classroom {
-                metrics_json,
-                stats_every,
+            Command::Classroom(ClassroomArgs {
+                live:
+                    LiveArgs {
+                        metrics_json,
+                        stats_every,
+                        ..
+                    },
                 ..
-            } => {
+            }) => {
                 assert_eq!(metrics_json.as_deref(), Some("m.json"));
                 assert_eq!(stats_every, 3);
             }
@@ -2400,10 +2054,13 @@ mod tests {
     fn ingest_json_mode_emits_parseable_window_objects() {
         use tw_core::json;
         let out = run_ingest(&IngestArgs {
+            live: LiveArgs {
+                nodes: 256,
+                shards: 2,
+                window_us: 50_000,
+                ..IngestArgs::new("ddos").live
+            },
             windows: 3,
-            nodes: 256,
-            shards: 2,
-            window_us: 50_000,
             json: true,
             ..IngestArgs::new("ddos")
         })
@@ -2441,12 +2098,15 @@ mod tests {
         let path = dir.join("ingest.json").to_string_lossy().into_owned();
 
         let out = run_ingest(&IngestArgs {
+            live: LiveArgs {
+                nodes: 256,
+                shards: 2,
+                window_us: 50_000,
+                metrics_json: Some(path.clone()),
+                stats_every: 2,
+                ..IngestArgs::new("ddos").live
+            },
             windows: 4,
-            nodes: 256,
-            shards: 2,
-            window_us: 50_000,
-            metrics_json: Some(path.clone()),
-            stats_every: 2,
             ..IngestArgs::new("ddos")
         })
         .unwrap();
@@ -2490,21 +2150,23 @@ mod tests {
         let path = dir.join("class.json").to_string_lossy().into_owned();
 
         let out = run_classroom(&ClassroomArgs {
-            scenario: Some("ddos".into()),
-            replay: None,
+            live: LiveArgs {
+                scenario: Some("ddos".into()),
+                replay: None,
+                nodes: 128,
+                seed: 7,
+                shards: 2,
+                window_us: 50_000,
+                horizon_us: 0,
+                skew_us: 0,
+                metrics_json: Some(path.clone()),
+                stats_every: 1,
+                route_threads: 0,
+            },
             students: 4,
             windows: Some(3),
-            nodes: 128,
-            seed: 7,
-            shards: 2,
-            window_us: 50_000,
-            horizon_us: 0,
-            skew_us: 0,
             speed: 0,
             late: Some(0),
-            metrics_json: Some(path.clone()),
-            stats_every: 1,
-            route_threads: 0,
         })
         .unwrap();
         assert!(out.contains("metrics: "), "{out}");
@@ -2687,6 +2349,43 @@ mod tests {
         );
         assert!(parse_args(&args(&["connect", "a:1", "--windows", "0"])).is_err());
         assert!(parse_args(&args(&["connect", "a:1", "--bogus"])).is_err());
+        // Shards partition rows: more shards than nodes would own none (and
+        // a huge count would try to allocate them all).
+        assert!(parse_args(&args(&[
+            "ingest",
+            "--scenario",
+            "ddos",
+            "--nodes",
+            "64",
+            "--shards",
+            "65"
+        ]))
+        .is_err());
+        assert!(parse_args(&args(&[
+            "ingest",
+            "--scenario",
+            "ddos",
+            "--nodes",
+            "64",
+            "--shards",
+            "1152921504606846976"
+        ]))
+        .is_err());
+        // Serving encodes every window, so the codec's dimension limit holds
+        // for serve as it does for ingest --record.
+        let err = parse_args(&args(&[
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--scenario",
+            "background",
+            "--nodes",
+            "17000000",
+            "--windows",
+            "1",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("codec"), "{err}");
         assert!(parse_args(&args(&["ingest", "--scenario", "ddos", "--skew-us"])).is_err());
         assert!(parse_args(&args(&[
             "ingest",
@@ -2722,23 +2421,26 @@ mod tests {
 
     #[test]
     fn ingest_command_streams_windows() {
-        let out = run(&Command::Ingest {
-            scenario: "ddos".into(),
+        let out = run(&Command::Ingest(IngestArgs {
+            live: LiveArgs {
+                scenario: Some("ddos".into()),
+                replay: None,
+                nodes: 256,
+                seed: 7,
+                shards: 2,
+                window_us: 50_000,
+                horizon_us: 0,
+                skew_us: 0,
+                metrics_json: None,
+                stats_every: 0,
+                route_threads: 0,
+            },
             windows: 4,
-            nodes: 256,
-            seed: 7,
-            shards: 2,
             batch: 2048,
-            window_us: 50_000,
-            horizon_us: 0,
-            skew_us: 0,
             record: None,
             keyframe_every: 0,
             json: false,
-            metrics_json: None,
-            stats_every: 0,
-            route_threads: 0,
-        })
+        }))
         .unwrap();
         assert!(out.contains("scenario ddos"));
         assert_eq!(out.lines().filter(|l| l.starts_with("window ")).count(), 4);
@@ -2747,11 +2449,14 @@ mod tests {
         assert!(out.contains("total: "));
         // Unknown scenarios name the catalog.
         let small = |scenario: &str, nodes, batch, window_us| IngestArgs {
+            live: LiveArgs {
+                nodes,
+                seed: 1,
+                window_us,
+                ..IngestArgs::new(scenario).live
+            },
             windows: 1,
-            nodes,
-            seed: 1,
             batch,
-            window_us,
             ..IngestArgs::new(scenario)
         };
         let err = run_ingest(&small("wat", 256, 128, 1_000)).unwrap_err();
@@ -2776,12 +2481,15 @@ mod tests {
         // covering the disorder bound (5000 + 5000/4 = 6250 <= 20000)
         // ingests with zero late drops and a busy reordered counter.
         let out = run_ingest(&IngestArgs {
+            live: LiveArgs {
+                nodes: 256,
+                shards: 2,
+                window_us: 50_000,
+                horizon_us: 20_000,
+                skew_us: 5_000,
+                ..IngestArgs::new("ddos").live
+            },
             windows: 3,
-            nodes: 256,
-            shards: 2,
-            window_us: 50_000,
-            horizon_us: 20_000,
-            skew_us: 5_000,
             ..IngestArgs::new("ddos")
         })
         .unwrap();
@@ -2797,11 +2505,14 @@ mod tests {
 
         // An undersized horizon warns up front and reports its drops.
         let out = run_ingest(&IngestArgs {
+            live: LiveArgs {
+                nodes: 256,
+                window_us: 50_000,
+                horizon_us: 100,
+                skew_us: 20_000,
+                ..IngestArgs::new("ddos").live
+            },
             windows: 3,
-            nodes: 256,
-            window_us: 50_000,
-            horizon_us: 100,
-            skew_us: 20_000,
             ..IngestArgs::new("ddos")
         })
         .unwrap();
@@ -2817,30 +2528,33 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let zip = dir.join("ddos.zip").to_string_lossy().into_owned();
 
-        let ingest_out = run(&Command::Ingest {
-            scenario: "ddos".into(),
+        let ingest_out = run(&Command::Ingest(IngestArgs {
+            live: LiveArgs {
+                scenario: Some("ddos".into()),
+                replay: None,
+                nodes: 256,
+                seed: 7,
+                shards: 2,
+                window_us: 50_000,
+                horizon_us: 0,
+                skew_us: 0,
+                metrics_json: None,
+                stats_every: 0,
+                route_threads: 0,
+            },
             windows: 8,
-            nodes: 256,
-            seed: 7,
-            shards: 2,
             batch: 2048,
-            window_us: 50_000,
-            horizon_us: 0,
-            skew_us: 0,
             record: Some(zip.clone()),
             keyframe_every: 0,
             json: false,
-            metrics_json: None,
-            stats_every: 0,
-            route_threads: 0,
-        })
+        }))
         .unwrap();
         assert!(ingest_out.contains("recorded 8 window(s)"), "{ingest_out}");
 
-        let replay_out = run(&Command::Replay {
+        let replay_out = run(&Command::Replay(ReplayArgs {
             path: zip.clone(),
             speed: 0,
-        })
+        }))
         .unwrap();
         assert!(replay_out.contains("replaying"), "{replay_out}");
         assert!(replay_out.contains("(ddos)"));
@@ -2866,11 +2580,14 @@ mod tests {
         // Recording refuses address spaces beyond the window codec's limit
         // up front instead of panicking mid-capture.
         let err = run_ingest(&IngestArgs {
+            live: LiveArgs {
+                nodes: u32::MAX,
+                seed: 1,
+                window_us: 1_000,
+                ..IngestArgs::new("ddos").live
+            },
             windows: 1,
-            nodes: u32::MAX,
-            seed: 1,
             batch: 128,
-            window_us: 1_000,
             record: Some("never.zip".into()),
             ..IngestArgs::new("ddos")
         })
@@ -2894,11 +2611,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let zip = dir.join("delta.zip").to_string_lossy().into_owned();
         let ingest_out = run_ingest(&IngestArgs {
+            live: LiveArgs {
+                nodes: 256,
+                shards: 2,
+                window_us: 50_000,
+                ..IngestArgs::new("ddos").live
+            },
             windows: 7,
-            nodes: 256,
-            shards: 2,
             batch: 2048,
-            window_us: 50_000,
             record: Some(zip.clone()),
             keyframe_every: 3,
             ..IngestArgs::new("ddos")
@@ -2935,21 +2655,23 @@ mod tests {
     fn classroom_serves_live_and_replayed_scenarios() {
         // Live: 6 students, one late, 3 windows.
         let out = run_classroom(&ClassroomArgs {
-            scenario: Some("ddos".into()),
-            replay: None,
+            live: LiveArgs {
+                scenario: Some("ddos".into()),
+                replay: None,
+                nodes: 128,
+                seed: 7,
+                shards: 2,
+                window_us: 50_000,
+                horizon_us: 0,
+                skew_us: 0,
+                metrics_json: None,
+                stats_every: 0,
+                route_threads: 0,
+            },
             students: 6,
             windows: Some(3),
-            nodes: 128,
-            seed: 7,
-            shards: 2,
-            window_us: 50_000,
-            horizon_us: 0,
-            skew_us: 0,
             speed: 0,
             late: Some(1),
-            metrics_json: None,
-            stats_every: 0,
-            route_threads: 0,
         })
         .unwrap();
         assert!(
@@ -2971,32 +2693,37 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let zip = dir.join("class.zip").to_string_lossy().into_owned();
         run_ingest(&IngestArgs {
+            live: LiveArgs {
+                nodes: 128,
+                seed: 3,
+                shards: 2,
+                window_us: 50_000,
+                ..IngestArgs::new("scan").live
+            },
             windows: 4,
-            nodes: 128,
-            seed: 3,
-            shards: 2,
             batch: 2048,
-            window_us: 50_000,
             record: Some(zip.clone()),
             ..IngestArgs::new("scan")
         })
         .unwrap();
         let out = run_classroom(&ClassroomArgs {
-            scenario: None,
-            replay: Some(zip.clone()),
+            live: LiveArgs {
+                scenario: None,
+                replay: Some(zip.clone()),
+                nodes: 256,
+                seed: 7,
+                shards: 0,
+                window_us: 100_000,
+                horizon_us: 0,
+                skew_us: 0,
+                metrics_json: None,
+                stats_every: 0,
+                route_threads: 0,
+            },
             students: 4,
             windows: None,
-            nodes: 256,
-            seed: 7,
-            shards: 0,
-            window_us: 100_000,
-            horizon_us: 0,
-            skew_us: 0,
             speed: 0,
             late: Some(0),
-            metrics_json: None,
-            stats_every: 0,
-            route_threads: 0,
         })
         .unwrap();
         assert!(out.contains("scan (replayed from"), "{out}");
@@ -3006,21 +2733,23 @@ mod tests {
         // Errors: unknown scenario, missing recording, tiny address space.
         let bad = |scenario: Option<&str>, replay: Option<String>, nodes| {
             run_classroom(&ClassroomArgs {
-                scenario: scenario.map(String::from),
-                replay,
+                live: LiveArgs {
+                    scenario: scenario.map(String::from),
+                    replay,
+                    nodes,
+                    seed: 1,
+                    shards: 0,
+                    window_us: 1_000,
+                    horizon_us: 0,
+                    skew_us: 0,
+                    metrics_json: None,
+                    stats_every: 0,
+                    route_threads: 0,
+                },
                 students: 2,
                 windows: Some(1),
-                nodes,
-                seed: 1,
-                shards: 0,
-                window_us: 1_000,
-                horizon_us: 0,
-                skew_us: 0,
                 speed: 0,
                 late: None,
-                metrics_json: None,
-                stats_every: 0,
-                route_threads: 0,
             })
         };
         assert!(bad(Some("wat"), None, 128)
@@ -3037,21 +2766,23 @@ mod tests {
 
         // A skewed live classroom: the whole class still sees every window.
         let out = run_classroom(&ClassroomArgs {
-            scenario: Some("ddos".into()),
-            replay: None,
+            live: LiveArgs {
+                scenario: Some("ddos".into()),
+                replay: None,
+                nodes: 128,
+                seed: 7,
+                shards: 2,
+                window_us: 50_000,
+                horizon_us: 20_000,
+                skew_us: 5_000,
+                metrics_json: None,
+                stats_every: 0,
+                route_threads: 0,
+            },
             students: 3,
             windows: Some(2),
-            nodes: 128,
-            seed: 7,
-            shards: 2,
-            window_us: 50_000,
-            horizon_us: 20_000,
-            skew_us: 5_000,
             speed: 0,
             late: Some(0),
-            metrics_json: None,
-            stats_every: 0,
-            route_threads: 0,
         })
         .unwrap();
         assert!(
@@ -3063,21 +2794,23 @@ mod tests {
 
         // An undersized horizon warns up front, like `ingest` does.
         let out = run_classroom(&ClassroomArgs {
-            scenario: Some("ddos".into()),
-            replay: None,
+            live: LiveArgs {
+                scenario: Some("ddos".into()),
+                replay: None,
+                nodes: 128,
+                seed: 7,
+                shards: 1,
+                window_us: 50_000,
+                horizon_us: 100,
+                skew_us: 20_000,
+                metrics_json: None,
+                stats_every: 0,
+                route_threads: 0,
+            },
             students: 1,
             windows: Some(1),
-            nodes: 128,
-            seed: 7,
-            shards: 1,
-            window_us: 50_000,
-            horizon_us: 100,
-            skew_us: 20_000,
             speed: 0,
             late: Some(0),
-            metrics_json: None,
-            stats_every: 0,
-            route_threads: 0,
         })
         .unwrap();
         assert!(
@@ -3087,21 +2820,23 @@ mod tests {
 
         // Programmatic callers hit the same skew-vs-replay guard as the parser.
         let err = run_classroom(&ClassroomArgs {
-            scenario: None,
-            replay: Some(zip.clone()),
+            live: LiveArgs {
+                scenario: None,
+                replay: Some(zip.clone()),
+                nodes: 128,
+                seed: 1,
+                shards: 0,
+                window_us: 1_000,
+                horizon_us: 0,
+                skew_us: 5_000,
+                metrics_json: None,
+                stats_every: 0,
+                route_threads: 0,
+            },
             students: 1,
             windows: Some(1),
-            nodes: 128,
-            seed: 1,
-            shards: 0,
-            window_us: 1_000,
-            horizon_us: 0,
-            skew_us: 5_000,
             speed: 0,
             late: None,
-            metrics_json: None,
-            stats_every: 0,
-            route_threads: 0,
         })
         .unwrap_err();
         assert!(err.0.contains("live ingestion"), "{err}");
@@ -3113,12 +2848,15 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let args = ServeArgs {
-            scenario: Some("ddos".into()),
+            live: LiveArgs {
+                scenario: Some("ddos".into()),
+                nodes: 128,
+                shards: 2,
+                window_us: 50_000,
+                ..ServeArgs::new("127.0.0.1:0").live
+            },
             students: 2,
             windows: Some(3),
-            nodes: 128,
-            shards: 2,
-            window_us: 50_000,
             ..ServeArgs::new("127.0.0.1:0")
         };
         let (serve_out, client_outs) = std::thread::scope(|scope| {
@@ -3159,7 +2897,10 @@ mod tests {
         // Error paths: an unbindable address, an unreachable server, and the
         // same stream validation the classroom applies.
         assert!(run_serve(&ServeArgs {
-            scenario: Some("ddos".into()),
+            live: LiveArgs {
+                scenario: Some("ddos".into()),
+                ..ServeArgs::new("256.0.0.1:0").live
+            },
             ..ServeArgs::new("256.0.0.1:0")
         })
         .is_err());
@@ -3168,7 +2909,10 @@ mod tests {
             "nothing listens"
         );
         assert!(run_serve(&ServeArgs {
-            scenario: Some("wat".into()),
+            live: LiveArgs {
+                scenario: Some("wat".into()),
+                ..ServeArgs::new("127.0.0.1:0").live
+            },
             ..ServeArgs::new("127.0.0.1:0")
         })
         .unwrap_err()
@@ -3176,13 +2920,27 @@ mod tests {
         .contains("known scenarios"));
         assert!(
             run_serve(&ServeArgs {
-                scenario: Some("ddos".into()),
-                nodes: 4,
+                live: LiveArgs {
+                    scenario: Some("ddos".into()),
+                    nodes: 4,
+                    ..ServeArgs::new("127.0.0.1:0").live
+                },
                 ..ServeArgs::new("127.0.0.1:0")
             })
             .is_err(),
             "tiny address space"
         );
+        let err = run_serve(&ServeArgs {
+            live: LiveArgs {
+                scenario: Some("background".into()),
+                nodes: 17_000_000,
+                ..ServeArgs::new("127.0.0.1:0").live
+            },
+            windows: Some(1),
+            ..ServeArgs::new("127.0.0.1:0")
+        })
+        .unwrap_err();
+        assert!(err.0.contains("codec"), "{err}");
     }
 
     #[test]
@@ -3195,14 +2953,17 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let args = ServeArgs {
-            scenario: Some("ddos".into()),
+            live: LiveArgs {
+                scenario: Some("ddos".into()),
+                nodes: 128,
+                shards: 2,
+                window_us: 50_000,
+                metrics_json: Some(path.clone()),
+                stats_every: 1,
+                ..ServeArgs::new("127.0.0.1:0").live
+            },
             students: 1,
             windows: Some(3),
-            nodes: 128,
-            shards: 2,
-            window_us: 50_000,
-            metrics_json: Some(path.clone()),
-            stats_every: 1,
             ..ServeArgs::new("127.0.0.1:0")
         };
         let (serve_out, client_out) = std::thread::scope(|scope| {
@@ -3253,6 +3014,59 @@ mod tests {
     }
 
     #[test]
+    fn readme_command_lines_parse_and_usage_lists_every_flag() {
+        // Every `cargo run --release -p tw-cli -- …` line in README's code
+        // blocks (with `\` continuations joined, `#` comments dropped) is a
+        // command line the table accepts.
+        let prefix = "cargo run --release -p tw-cli --";
+        let mut commands = Vec::new();
+        let mut pending: Option<String> = None;
+        let mut in_block = false;
+        for line in include_str!("../../../README.md").lines() {
+            if line.trim_start().starts_with("```") {
+                in_block = !in_block;
+                continue;
+            }
+            let code = line.split(" #").next().unwrap_or_default().trim();
+            if !in_block || (pending.is_none() && !code.starts_with(prefix)) {
+                continue;
+            }
+            let joined = pending.get_or_insert_with(String::new);
+            joined.push_str(code.trim_end_matches('\\'));
+            joined.push(' ');
+            if !code.ends_with('\\') {
+                commands.extend(pending.take());
+            }
+        }
+        assert!(commands.len() >= 20, "{commands:?}");
+        for command in &commands {
+            let words: Vec<String> = command[prefix.len()..]
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+            if let Err(err) = parse_args(&words) {
+                panic!("README's `{command}` does not parse: {err}");
+            }
+        }
+
+        // The generated usage names every flag under each subcommand that
+        // takes it.
+        let text = usage();
+        for spec in COMMANDS {
+            let block = spec.usage();
+            assert!(text.contains(&block), "{} missing from usage", spec.name);
+            for flag in spec.flags() {
+                assert!(
+                    block.contains(&format!("      {} ", flag.name)),
+                    "{} missing from {}'s usage:\n{block}",
+                    flag.name,
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
     fn validate_and_render_helpers() {
         let module = tw_core::module::template_10x10();
         let report = render_validation(&module);
@@ -3292,35 +3106,35 @@ mod tests {
         let module_path = dir.join("module.json");
         std::fs::write(&module_path, tw_core::module::template_6x6().to_json()).unwrap();
 
-        let validate_out = run(&Command::Validate {
-            path: module_path.to_string_lossy().into_owned(),
-        })
+        let validate_out = run(&Command::Validate(
+            module_path.to_string_lossy().into_owned(),
+        ))
         .unwrap();
         assert!(validate_out.contains("OK"));
 
-        let obfuscated = run(&Command::Obfuscate {
-            path: module_path.to_string_lossy().into_owned(),
-        })
+        let obfuscated = run(&Command::Obfuscate(
+            module_path.to_string_lossy().into_owned(),
+        ))
         .unwrap();
         assert!(obfuscated.contains("correct_answer_token"));
 
-        let export_out = run(&Command::ExportLibrary {
-            directory: dir.join("library").to_string_lossy().into_owned(),
-        })
+        let export_out = run(&Command::ExportLibrary(
+            dir.join("library").to_string_lossy().into_owned(),
+        ))
         .unwrap();
         assert_eq!(export_out.lines().count(), 6);
         let play_target = dir.join("library/ddos_attack.zip");
         assert!(play_target.exists());
-        let play_out = run(&Command::Play {
+        let play_out = run(&Command::Play(PlayArgs {
             path: play_target.to_string_lossy().into_owned(),
             seed: 1,
-        })
+        }))
         .unwrap();
         assert!(play_out.contains("4/4 correct"));
 
-        let missing = run(&Command::Validate {
-            path: dir.join("nope.json").to_string_lossy().into_owned(),
-        });
+        let missing = run(&Command::Validate(
+            dir.join("nope.json").to_string_lossy().into_owned(),
+        ));
         assert!(missing.is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

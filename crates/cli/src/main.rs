@@ -6,14 +6,11 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = match tw_cli::parse_args(&args) {
-        Ok(command) => command,
-        Err(error) => {
-            eprintln!("error: {error}");
-            eprintln!("{}", tw_cli::USAGE);
-            std::process::exit(2);
-        }
-    };
+    let command = tw_cli::parse_args(&args).unwrap_or_else(|error| {
+        eprintln!("error: {error}");
+        eprint!("{}", tw_cli::usage());
+        std::process::exit(2);
+    });
     match tw_cli::run(&command) {
         Ok(output) => print!("{output}"),
         Err(error) => {

@@ -3,7 +3,7 @@
 //! compiled `traffic-warehouse` binary.
 
 use std::process::Command as Process;
-use tw_cli::{parse_args, run, Command, USAGE};
+use tw_cli::{parse_args, run, usage, AnalyzeArgs, Command};
 
 fn run_args(args: &[&str]) -> String {
     let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -37,7 +37,7 @@ fn figures_prints_the_pattern_gallery() {
 #[test]
 fn help_shows_usage_and_bad_args_error() {
     let output = run(&Command::Help).expect("help runs");
-    assert_eq!(output, USAGE);
+    assert_eq!(output, usage());
     let bogus = vec!["no-such-command".to_string()];
     assert!(parse_args(&bogus).is_err());
     // No arguments means "show help", matching the binary's behavior.
@@ -467,13 +467,13 @@ fn analyze_args_parse() {
         .collect();
     assert_eq!(
         parse_args(&args).unwrap(),
-        Command::Analyze {
+        Command::Analyze(AnalyzeArgs {
             root: None,
             rule: Some("no-panic-in-lib".to_string()),
             json: None,
             deny_warnings: true,
             list_waivers: false,
-        }
+        })
     );
     let bad: Vec<String> = ["analyze", "--rule"]
         .iter()

@@ -46,8 +46,8 @@ use tw_ingest::frame::{
     StreamManifest,
 };
 use tw_ingest::{
-    decode_window_into, encode_window, CadenceEncoder, DecodeScratch, StreamError, WindowReport,
-    WindowStream,
+    decode_window_into, encode_window, CadenceEncoder, CodecError, DecodeScratch, StreamError,
+    WindowReport, WindowStream, MAX_DIMENSION,
 };
 use tw_metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, StageTimer};
 
@@ -181,6 +181,9 @@ pub enum ServeError {
     Stream(StreamError),
     /// The listener could not be configured or polled.
     Io(String),
+    /// The stream's windows are too large for the window codec; refused
+    /// before any thread starts or any peer connects.
+    Codec(CodecError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -188,6 +191,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Stream(e) => write!(f, "serve: {e}"),
             ServeError::Io(msg) => write!(f, "serve: {msg}"),
+            ServeError::Codec(e) => write!(f, "serve: {e}"),
         }
     }
 }
@@ -241,6 +245,12 @@ pub fn serve(
     config: &ServeConfig,
     telemetry: Option<TelemetryHub>,
 ) -> Result<ServeSummary, ServeError> {
+    if stream.node_count() > MAX_DIMENSION {
+        return Err(ServeError::Codec(CodecError::DimensionTooLarge {
+            dimension: stream.node_count(),
+            limit: MAX_DIMENSION,
+        }));
+    }
     listener
         .set_nonblocking(true)
         .map_err(|e| ServeError::Io(format!("listener nonblocking: {e}")))?;
@@ -771,5 +781,36 @@ mod tests {
             assert_eq!(close.windows, 2);
             assert_eq!(close.delivered, 2);
         });
+    }
+
+    #[test]
+    fn refuses_streams_beyond_the_codec_limit_before_serving() {
+        // A stream the codec cannot encode must fail up front: serving it
+        // would panic in `encode_window` inside the thread scope and leave
+        // the acceptor polling a stop flag nobody sets.
+        struct Oversized;
+        impl WindowStream for Oversized {
+            fn next_window(&mut self) -> Result<Option<WindowReport>, StreamError> {
+                Ok(None)
+            }
+            fn node_count(&self) -> usize {
+                MAX_DIMENSION + 1
+            }
+            fn window_us(&self) -> u64 {
+                1_000
+            }
+        }
+        let listener = loopback_listener().unwrap();
+        let started = Instant::now();
+        let err = serve(listener, &mut Oversized, &ServeConfig::default(), None).unwrap_err();
+        assert!(started.elapsed() < Duration::from_secs(5), "{err}");
+        assert_eq!(
+            err,
+            ServeError::Codec(CodecError::DimensionTooLarge {
+                dimension: MAX_DIMENSION + 1,
+                limit: MAX_DIMENSION,
+            })
+        );
+        assert!(err.to_string().contains("codec"), "{err}");
     }
 }
